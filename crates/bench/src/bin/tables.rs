@@ -7,35 +7,18 @@
 //!
 //! Subcommands: `table1 table2 table3 table4 fig1 fig3 bias fig4
 //! derangements naive sorter parallel cascade rank variations prove
-//! simbench threadbench oraclebench faultbench verify all` (plus
-//! `fig4-netlist` to run Fig. 4 on the gate-level simulation instead
-//! of the bit-exact mirror, `simbench-json` to emit the
-//! scalar-vs-batched record CI stores as `BENCH_sim.json`,
-//! `threadbench-json` for the workers × n scaling matrix CI stores as
-//! `BENCH_parallel.json`, `oraclebench-json` for the table-generation
-//! matrix CI stores as `BENCH_oracle.json`, `faultbench-json` for
-//! the stuck-at campaign matrix CI stores as `BENCH_faults.json`, and
-//! `provebench-json` for the SAT proof-obligation matrix CI stores as
-//! `BENCH_prove.json`, `servebench-json` for the wire-protocol
-//! throughput matrix CI stores as `BENCH_serve.json`, and
-//! `widebench-json` for the lane-width × workers × fusion matrix CI
-//! stores as `BENCH_wide.json`, and `storebench-json` for the
-//! persisted-store cold/warm/recompute matrix CI stores as
-//! `BENCH_store.json`, and `chaosbench-json` for the
-//! throughput-under-faults matrix CI stores as `BENCH_chaos.json`).
+//! verify all` (plus `fig4-netlist` to run Fig. 4 on the gate-level
+//! simulation instead of the bit-exact mirror). Throughput of the
+//! library layers is measured by the repository benchmark
+//! (`benchmark/README.md`).
 
-use hwperm_bench::{
-    baselines, chaosbench, extensions, faultbench, figures, oraclebench, provebench, resources,
-    servebench, simbench, storebench, tables, threadbench, widebench,
-};
+use hwperm_bench::{baselines, extensions, figures, resources, tables};
 
 fn usage() -> ! {
     eprintln!(
         "usage: tables <experiment>\n  experiments: table1 table2 table3 table4 fig1 fig3 bias \
          fig4 fig4-netlist derangements naive sorter parallel verify cascade rank variations prove \
-         simbench simbench-json threadbench threadbench-json widebench widebench-json \
-         oraclebench oraclebench-json faultbench faultbench-json provebench provebench-json \
-         servebench servebench-json storebench storebench-json chaosbench chaosbench-json all"
+         all"
     );
     std::process::exit(2);
 }
@@ -62,24 +45,6 @@ fn main() {
         "prove" => print!("{}", extensions::prove()),
         "rank" => print!("{}", extensions::rank_circuit()),
         "variations" => print!("{}", extensions::variations()),
-        "simbench" => print!("{}", simbench::sim_throughput_text()),
-        "simbench-json" => print!("{}", simbench::sim_throughput_json()),
-        "threadbench" => print!("{}", threadbench::thread_scaling_text()),
-        "threadbench-json" => print!("{}", threadbench::thread_scaling_json()),
-        "widebench" => print!("{}", widebench::wide_word_text()),
-        "widebench-json" => print!("{}", widebench::wide_word_json()),
-        "oraclebench" => print!("{}", oraclebench::oracle_throughput_text()),
-        "oraclebench-json" => print!("{}", oraclebench::oracle_throughput_json()),
-        "faultbench" => print!("{}", faultbench::fault_campaign_text()),
-        "faultbench-json" => print!("{}", faultbench::fault_campaign_json()),
-        "provebench" => print!("{}", provebench::prove_throughput_text()),
-        "provebench-json" => print!("{}", provebench::prove_throughput_json()),
-        "servebench" => print!("{}", servebench::serve_throughput_text()),
-        "servebench-json" => print!("{}", servebench::serve_throughput_json()),
-        "storebench" => print!("{}", storebench::store_economics_text()),
-        "storebench-json" => print!("{}", storebench::store_economics_json()),
-        "chaosbench" => print!("{}", chaosbench::chaos_throughput_text()),
-        "chaosbench-json" => print!("{}", chaosbench::chaos_throughput_json()),
         _ => usage(),
     };
     if arg == "all" {
@@ -100,15 +65,6 @@ fn main() {
             "cascade",
             "rank",
             "variations",
-            "simbench",
-            "threadbench",
-            "widebench",
-            "oraclebench",
-            "faultbench",
-            "provebench",
-            "servebench",
-            "storebench",
-            "chaosbench",
             "prove",
         ] {
             println!("==================================================================");

@@ -3,24 +3,16 @@
 //! Each function renders one of the paper's tables or figures as text
 //! (see EXPERIMENTS.md for the paper-vs-measured record). All outputs
 //! are deterministic given their parameters, except Table II's wall-
-//! clock timings.
+//! clock timings. Performance of the library layers is tracked by the
+//! repository benchmark (`benchmark/README.md`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod baselines;
-pub mod chaosbench;
 pub mod extensions;
-pub mod faultbench;
 pub mod figures;
-pub mod oraclebench;
-pub mod provebench;
 pub mod resources;
-pub mod servebench;
-pub mod simbench;
-pub mod storebench;
 pub mod tables;
-pub mod threadbench;
-pub mod widebench;
 
 /// Formats a `f64` with thousands separators for rate reporting.
 pub(crate) fn with_commas(v: u64) -> String {

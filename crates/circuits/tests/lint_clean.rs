@@ -57,7 +57,7 @@ fn assert_banks_one_hot_by_simulation(label: &str, netlist: &Netlist) {
     }
     let name = port.name.clone();
     assert_eq!(
-        hwperm_verify::find_one_hot_violation_batched(netlist, &name),
+        hwperm_verify::find_one_hot_violation_parallel(netlist, &name, 1),
         None,
         "{label}: exhaustive simulation refutes a bank the BDD pass proved"
     );

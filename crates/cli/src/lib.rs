@@ -401,22 +401,6 @@ fn parse_usize(s: &str, what: &str) -> Result<usize, CliError> {
     s.parse().map_err(|_| err(format!("invalid {what}: {s:?}")))
 }
 
-/// Escapes a string for embedding in a hand-rolled JSON literal.
-/// Store directories are the only free-form text the CLI emits as
-/// JSON, so backslash/quote/control coverage is all that's needed.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parses a `--width` value into a lane count. Only the three compiled
 /// word widths exist — 64 (`u64`), 256 ([`W256`]), 512 ([`W512`]) —
 /// anything else is a user error (exit 2).
@@ -1026,7 +1010,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                             "{{\"action\":\"build\",\"n\":{n},\"dir\":\"{}\",\
                              \"chunks\":{},\"built\":{},\"resumed\":{},\
                              \"bytes_written\":{},\"complete\":{}}}",
-                            json_escape(&report.dir.display().to_string()),
+                            hwperm_serve::json::escape(&report.dir.display().to_string()),
                             report.chunks_total,
                             report.built,
                             report.resumed,
@@ -1482,24 +1466,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let expected = source
                     .permutation_words(n)
                     .map_err(|e| err(format!("store error: {e}")))?;
-                match (jobs, width) {
-                    (Some(workers), 64) => hwperm_verify::exhaustive_check_parallel(
+                let workers = jobs.unwrap_or(1);
+                match width {
+                    64 => hwperm_verify::exhaustive_check_parallel_wide::<u64>(
                         &netlist, "index", "perm", &expected, workers,
                     ),
-                    (Some(workers), 256) => hwperm_verify::exhaustive_check_parallel_wide::<W256>(
+                    256 => hwperm_verify::exhaustive_check_parallel_wide::<W256>(
                         &netlist, "index", "perm", &expected, workers,
                     ),
-                    (Some(workers), _) => hwperm_verify::exhaustive_check_parallel_wide::<W512>(
+                    _ => hwperm_verify::exhaustive_check_parallel_wide::<W512>(
                         &netlist, "index", "perm", &expected, workers,
-                    ),
-                    (None, 64) => hwperm_verify::exhaustive_check_batched(
-                        &netlist, "index", "perm", &expected,
-                    ),
-                    (None, 256) => hwperm_verify::exhaustive_check_batched_wide::<W256>(
-                        &netlist, "index", "perm", &expected,
-                    ),
-                    (None, _) => hwperm_verify::exhaustive_check_batched_wide::<W512>(
-                        &netlist, "index", "perm", &expected,
                     ),
                 }
                 .map_err(|m| err(format!("MISMATCH: {m}")))?;
@@ -2163,6 +2139,29 @@ mod tests {
         let prove = call(&["prove", "5", "--family", "converter", "--store", &dir_arg]).unwrap();
         assert!(prove.contains("proved"), "{prove}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_build_json_escapes_the_directory_name() {
+        let pid = std::process::id();
+        let dir =
+            std::env::temp_dir().join(format!("hwperm-cli-store-\"quoted\"-back\\slash-{pid}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_str().unwrap().to_string();
+        let out = call(&["store", "build", "3", "--dir", &dir_arg, "--json"]).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        // The reported directory is the table's own, under the store root.
+        let parent = dir.parent().unwrap().to_str().unwrap();
+        assert!(
+            out.contains(&format!(
+                "\"dir\":\"{parent}/hwperm-cli-store-\\\"quoted\\\"-back\\\\slash-{pid}/v1/lex/n03\","
+            )),
+            "{out}"
+        );
+        let envelope = hwperm_serve::Json::parse(out.trim_end().as_bytes()).unwrap();
+        let row = &envelope.get("results").unwrap().as_array().unwrap()[0];
+        let table_dir = format!("{dir_arg}/v1/lex/n03");
+        assert_eq!(row.get("dir").and_then(|d| d.as_str()), Some(&*table_dir));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! probability regardless of which locations are currently occupied."
 //! This module loads tables to a target occupancy and records the
 //! distribution of probes-to-insert, so the strategies can be compared
-//! quantitatively (see the `unique_perm_hashing` example and bench).
+//! quantitatively (see the `unique_perm_hashing` example).
 
 use crate::tables::ProbeTable;
 

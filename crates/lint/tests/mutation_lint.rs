@@ -306,11 +306,11 @@ fn constant_output_bit_fires_const_output() {
 
 /// Exhaustively evaluates every index and reports whether each recorded
 /// bank is exactly-one-hot for every input (ground truth by simulation).
-/// Runs on the batched 64-lane sweep — the mutation sweep below calls
-/// this once per mutant, so the 64× fewer netlist walks are what keep
-/// the whole-netlist sweep affordable.
+/// Runs on the one-worker 64-lane sweep — the mutation sweep below
+/// calls this once per mutant, so the 64× fewer netlist walks are what
+/// keep the whole-netlist sweep affordable.
 fn banks_truly_one_hot(netlist: &Netlist) -> bool {
-    hwperm_verify::find_one_hot_violation_batched(netlist, "index").is_none()
+    hwperm_verify::find_one_hot_violation_parallel(netlist, "index", 1).is_none()
 }
 
 #[test]

@@ -3,13 +3,14 @@
 //! Three usage levels:
 //!
 //! - [`Client::request`] — one request, collect its binary chunks,
-//!   return when the envelope arrives. What the CLI examples and most
-//!   tests use.
+//!   return when the envelope arrives. What the CLI examples, most
+//!   tests and the repository benchmark's serve burst use
+//!   (`benchmark/README.md`; gated by `serve_words_per_s`).
 //! - [`Client::send_json`] + [`Client::read_message`] — raw pipelining:
 //!   push several requests, then demultiplex the interleaved responses
 //!   yourself by request id ([`BlockChunk::id`] on chunks,
-//!   [`envelope_id`] on envelopes). What the soak test and `servebench`
-//!   use.
+//!   [`envelope_id`] on envelopes). What the soak, chaos and hardening
+//!   tests use.
 //! - [`RetryClient`] — a [`Client`] wrapped in a [`RetryPolicy`]: on a
 //!   transport failure it reconnects and replays the request with
 //!   exponential backoff and deterministic seeded jitter, but only for

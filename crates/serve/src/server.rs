@@ -1283,7 +1283,8 @@ pub fn serve(listener: Listener, options: ServeOptions) -> io::Result<ServeSumma
 }
 
 /// A server running on a background thread — the in-process harness
-/// the tests and `servebench` drive.
+/// the tests and the repository benchmark drive (`benchmark/README.md`;
+/// its serve burst is gated by `serve_words_per_s`).
 pub struct ServerHandle {
     endpoint: Endpoint,
     thread: Option<JoinHandle<io::Result<ServeSummary>>>,

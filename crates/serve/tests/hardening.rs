@@ -185,11 +185,7 @@ fn slow_loris_trickle_is_reaped_not_serviced_forever() {
         loris.write_all(&[KIND_JSON]).expect("kind byte");
         let mut reply = Vec::new();
         loop {
-            if loris
-                .write_all(b" ")
-                .and_then(|()| loris.flush())
-                .is_err()
-            {
+            if loris.write_all(b" ").and_then(|()| loris.flush()).is_err() {
                 break; // reaped: the server closed on us
             }
             std::thread::sleep(Duration::from_millis(10));

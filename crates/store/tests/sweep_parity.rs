@@ -1,17 +1,39 @@
 //! Acceptance regression: a store-backed sweep and a computed sweep
 //! see byte-identical expectation words, and — when the netlist is
 //! wrong — report the *identical* first-mismatch witness at every
-//! simulation width (64/256/512 lanes).
+//! simulation width (64/256/512 lanes) and worker count (1/2/3/8).
 
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{W256, W512};
+use hwperm_logic::{Netlist, W256, W512};
 use hwperm_store::{build, BuildOptions, TableSource};
 use hwperm_verify::{
-    exhaustive_check_batched_wide, expected_permutation_words, ExhaustiveMismatch,
+    exhaustive_check_parallel_wide, expected_permutation_words, ExhaustiveMismatch,
 };
 use std::path::PathBuf;
 
 const N: usize = 5;
+
+const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
+
+type Sweep = fn(&Netlist, &str, &str, &[u64], usize) -> Result<(), ExhaustiveMismatch>;
+
+const WIDTHS: [(&str, Sweep); 3] = [
+    ("u64", exhaustive_check_parallel_wide::<u64>),
+    ("W256", exhaustive_check_parallel_wide::<W256>),
+    ("W512", exhaustive_check_parallel_wide::<W512>),
+];
+
+/// Every width × worker-count sweep of `table`, labelled.
+fn every_sweep(netlist: &Netlist, table: &[u64]) -> Vec<(String, Result<(), ExhaustiveMismatch>)> {
+    let mut out = Vec::new();
+    for (width, sweep) in WIDTHS {
+        for workers in WORKER_COUNTS {
+            let result = sweep(netlist, "index", "perm", table, workers);
+            out.push((format!("{width}, {workers} workers"), result));
+        }
+    }
+    out
+}
 
 fn warm_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hwperm-store-sweep-{tag}-{}", std::process::id()));
@@ -55,9 +77,9 @@ fn correct_converter_passes_both_sources_at_every_width() {
             .permutation_words(N)
             .unwrap(),
     ] {
-        exhaustive_check_batched_wide::<u64>(&netlist, "index", "perm", &table).unwrap();
-        exhaustive_check_batched_wide::<W256>(&netlist, "index", "perm", &table).unwrap();
-        exhaustive_check_batched_wide::<W512>(&netlist, "index", "perm", &table).unwrap();
+        for (label, result) in every_sweep(&netlist, &table) {
+            assert_eq!(result, Ok(()), "{label}");
+        }
     }
     std::fs::remove_dir_all(&store).unwrap();
 }
@@ -86,22 +108,16 @@ fn first_mismatch_witness_is_identical_across_sources_and_widths() {
             .unwrap(),
     );
 
-    let mut witnesses: Vec<ExhaustiveMismatch> = Vec::new();
-    for table in [&computed, &loaded] {
-        witnesses.push(
-            exhaustive_check_batched_wide::<u64>(&netlist, "index", "perm", table).unwrap_err(),
-        );
-        witnesses.push(
-            exhaustive_check_batched_wide::<W256>(&netlist, "index", "perm", table).unwrap_err(),
-        );
-        witnesses.push(
-            exhaustive_check_batched_wide::<W512>(&netlist, "index", "perm", table).unwrap_err(),
-        );
+    let mut witnesses = Vec::new();
+    for (source, table) in [("computed", &computed), ("store", &loaded)] {
+        for (label, result) in every_sweep(&netlist, table) {
+            witnesses.push((format!("{source}, {label}"), result.unwrap_err()));
+        }
     }
-    let first = &witnesses[0];
+    let first = &witnesses[0].1;
     assert_eq!(first.index, 37, "lowest poisoned index wins: {first:?}");
-    for w in &witnesses[1..] {
-        assert_eq!(w, first, "witness diverged across source/width");
+    for (label, w) in &witnesses[1..] {
+        assert_eq!(w, first, "witness diverged at {label}");
     }
     std::fs::remove_dir_all(&store).unwrap();
 }

@@ -3,11 +3,10 @@
 //! A campaign answers the robustness question the exhaustive sweeps
 //! cannot: *if a gate breaks, does the output betray it?* For every
 //! fault in the single-stuck-at universe (each net stuck at 0 and at
-//! 1), the campaign sweeps the whole index space through a batched
-//! fault overlay — **one fault per lane**, so one tape walk retires 64
-//! faults through the [`FaultBatchSim`] alias and 256/512 through the
-//! wide words ([`stuck_at_campaign_wide`]) — and classifies the fault
-//! against the golden expectation:
+//! 1), the campaign ([`stuck_at_campaign_wide`]) sweeps the whole index
+//! space through a batched fault overlay — **one fault per lane**, so
+//! one tape walk retires 64 faults at `u64` and 256/512 at the wide
+//! words — and classifies the fault against the golden expectation:
 //!
 //! - **detected** — the output diverges somewhere, and every divergence
 //!   fails the cheap validity predicate (a runtime guard would always
@@ -24,8 +23,8 @@
 //!
 //! Witnesses are deterministic: each fault reports the lowest diverging
 //! index (and, for silent faults, the lowest *validly* diverging
-//! index). Sharding follows the same contiguous ascending
-//! `shard_ranges` split as the exhaustive sweeps; verdicts are
+//! index). Sharding uses the exhaustive sweeps' fan-out over contiguous
+//! ascending [`crate::shard_ranges`] of the universe; verdicts are
 //! per-fault and independent of batch companions — and independent of
 //! lane *width* — so the report is byte-identical for every worker
 //! count and every `SimWord` width.
@@ -35,13 +34,10 @@
 //! fault universe unresolvable.
 
 use crate::exhaustive::port_width_checked;
-use crate::parallel::shard_ranges;
+use crate::parallel::fan_out;
 use hwperm_faults::{FaultSpec, FaultySim, OverlaySim};
 use hwperm_logic::{BatchSimulator, NetId, Netlist, SimProgram, SimWord, LANES};
 use std::sync::Arc;
-
-#[cfg(doc)]
-use hwperm_faults::FaultBatchSim;
 
 /// How one fault manifested over the exhaustive index sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,37 +232,22 @@ fn campaign_program(
 
 /// Runs the single-stuck-at campaign over `netlist`, sweeping every
 /// fault against `expected` (element `i` = golden output word at input
-/// index `i`) on `workers` threads. `valid` is the optional cheap
-/// validity predicate a runtime guard would apply (e.g. packed
-/// permutation validity); with `None`, every observable fault counts
-/// as detected.
+/// index `i`) on `workers` contiguous shards of the fault universe.
+/// `valid` is the optional cheap validity predicate a runtime guard
+/// would apply (e.g. packed permutation validity); with `None`, every
+/// observable fault counts as detected.
 ///
-/// Deterministic: the report is byte-identical for every worker count.
+/// Each worker retires [`SimWord::LANES`] faults per tape walk — 64 at
+/// `u64`, 256 at [`W256`](hwperm_logic::W256), 512 at
+/// [`W512`](hwperm_logic::W512). The report is byte-identical across
+/// widths and worker counts (verdicts and witnesses are per-lane, never
+/// influenced by batch companions), and equal to
+/// [`stuck_at_campaign_scalar`]'s.
 ///
 /// # Panics
 /// Panics if `workers == 0`, the netlist has registers, either port is
 /// missing, the input port cannot represent every index, or either
 /// port exceeds the 64-bit `u64` fast path.
-pub fn stuck_at_campaign(
-    netlist: &Netlist,
-    input: &str,
-    output: &str,
-    expected: &[u64],
-    valid: Option<&(dyn Fn(u64) -> bool + Sync)>,
-    workers: usize,
-) -> CampaignReport {
-    stuck_at_campaign_wide::<u64>(netlist, input, output, expected, valid, workers)
-}
-
-/// Width-generic [`stuck_at_campaign`]: each worker retires
-/// [`SimWord::LANES`] faults per tape walk — 64 at `u64`, 256 at
-/// [`W256`](hwperm_logic::W256), 512 at [`W512`](hwperm_logic::W512).
-/// The report is byte-identical across widths (verdicts and witnesses
-/// are per-lane, never influenced by batch companions) as well as
-/// across worker counts.
-///
-/// # Panics
-/// Same conditions as [`stuck_at_campaign`].
 pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
     netlist: &Netlist,
     input: &str,
@@ -277,34 +258,20 @@ pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
 ) -> CampaignReport {
     let program = campaign_program(netlist, input, output, expected);
     let universe = single_stuck_at_universe(netlist);
-    let shards = shard_ranges(universe.len(), workers);
-    let chunks: Vec<Vec<FaultVerdict>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                let program = Arc::clone(&program);
-                let faults = &universe[shard];
-                scope.spawn(move || {
-                    campaign_range::<W>(&program, faults, input, output, expected, valid)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    });
-    CampaignReport {
-        verdicts: chunks.concat(),
-    }
+    let verdicts = fan_out(universe.len(), workers, |shard| {
+        campaign_range::<W>(&program, &universe[shard], input, output, expected, valid)
+    })
+    .concat();
+    CampaignReport { verdicts }
 }
 
-/// Scalar reference implementation of [`stuck_at_campaign`]: one
+/// Scalar reference implementation of [`stuck_at_campaign_wide`]: one
 /// [`FaultySim`] per fault, one tape walk per (fault, index) pair. Kept
-/// for verdict parity and as the baseline side of `tables faultbench`.
+/// for verdict parity; the repository benchmark times the word-level
+/// campaign as `campaign_ms` (see `benchmark/README.md`).
 ///
 /// # Panics
-/// Same conditions as [`stuck_at_campaign`] (minus `workers`).
+/// Same conditions as [`stuck_at_campaign_wide`] (minus `workers`).
 pub fn stuck_at_campaign_scalar(
     netlist: &Netlist,
     input: &str,
@@ -396,7 +363,7 @@ mod tests {
         let nl = converter_netlist(n, ConverterOptions::default());
         let expected = expected_permutation_words(n);
         let valid = move |word: u64| packed_is_permutation_u64(n, word);
-        stuck_at_campaign(&nl, "index", "perm", &expected, Some(&valid), workers)
+        stuck_at_campaign_wide::<u64>(&nl, "index", "perm", &expected, Some(&valid), workers)
     }
 
     #[test]
@@ -433,7 +400,7 @@ mod tests {
         let nl = b.finish();
         let expected = golden_output_words(&nl, "x", "y");
         assert_eq!(expected, [0, 0, 0, 1]);
-        let report = stuck_at_campaign(&nl, "x", "y", &expected, None, 2);
+        let report = stuck_at_campaign_wide::<u64>(&nl, "x", "y", &expected, None, 2);
         // Every fault in this tiny universe is observable.
         assert_eq!(report.total(), 6);
         assert_eq!(report.detected(), 6);
@@ -462,7 +429,7 @@ mod tests {
         b.output_bus("y", &[y]);
         let nl = b.finish();
         let expected = golden_output_words(&nl, "x", "y");
-        let report = stuck_at_campaign(&nl, "x", "y", &expected, None, 1);
+        let report = stuck_at_campaign_wide::<u64>(&nl, "x", "y", &expected, None, 1);
         let and_sa0 = report
             .verdicts
             .iter()
@@ -480,47 +447,29 @@ mod tests {
     }
 
     #[test]
-    fn batched_campaign_matches_scalar_reference() {
-        let n = 4;
-        let nl = converter_netlist(n, ConverterOptions::default());
-        let expected = expected_permutation_words(n);
-        let valid = move |word: u64| packed_is_permutation_u64(n, word);
-        let batched = stuck_at_campaign(&nl, "index", "perm", &expected, Some(&valid), 3);
-        let scalar = stuck_at_campaign_scalar(&nl, "index", "perm", &expected, Some(&valid));
-        assert_eq!(batched, scalar);
-    }
-
-    #[test]
-    fn campaign_verdicts_byte_identical_across_widths() {
+    fn campaign_matches_scalar_at_every_width_and_worker_count() {
         use hwperm_logic::{W256, W512};
-        // Satellite regression: the report — every verdict, every
-        // witness, in universe order — must not depend on the lane
-        // width the campaign happened to run at.
+        // The report — every verdict, every witness, in universe order —
+        // must not depend on the lane width or the worker count, with
+        // the validity predicate and without it (where the retirement
+        // logic takes the other branch).
         let n = 4;
         let nl = converter_netlist(n, ConverterOptions::default());
         let expected = expected_permutation_words(n);
-        let valid = move |word: u64| packed_is_permutation_u64(n, word);
-        let narrow = stuck_at_campaign(&nl, "index", "perm", &expected, Some(&valid), 2);
-        let w256 = stuck_at_campaign_wide::<W256>(&nl, "index", "perm", &expected, Some(&valid), 2);
-        let w512 = stuck_at_campaign_wide::<W512>(&nl, "index", "perm", &expected, Some(&valid), 2);
-        assert_eq!(narrow, w256);
-        assert_eq!(narrow, w512);
-        // And without a validity predicate, where the retirement logic
-        // takes the other branch.
-        let narrow = stuck_at_campaign(&nl, "index", "perm", &expected, None, 3);
-        let w256 = stuck_at_campaign_wide::<W256>(&nl, "index", "perm", &expected, None, 3);
-        assert_eq!(narrow, w256);
-    }
-
-    #[test]
-    fn converter_campaign_deterministic_across_worker_counts() {
-        let baseline = converter_campaign(4, 1);
-        for workers in [2usize, 3, 8] {
-            assert_eq!(
-                converter_campaign(4, workers),
-                baseline,
-                "workers = {workers}"
-            );
+        let packed = move |word: u64| packed_is_permutation_u64(n, word);
+        for valid in [Some(&packed as &(dyn Fn(u64) -> bool + Sync)), None] {
+            let scalar = stuck_at_campaign_scalar(&nl, "index", "perm", &expected, valid);
+            for workers in [1usize, 2, 3, 8] {
+                let run = (
+                    stuck_at_campaign_wide::<u64>(&nl, "index", "perm", &expected, valid, workers),
+                    stuck_at_campaign_wide::<W256>(&nl, "index", "perm", &expected, valid, workers),
+                    stuck_at_campaign_wide::<W512>(&nl, "index", "perm", &expected, valid, workers),
+                );
+                let label = format!("predicate = {}, {workers} workers", valid.is_some());
+                assert_eq!(run.0, scalar, "u64, {label}");
+                assert_eq!(run.1, scalar, "W256, {label}");
+                assert_eq!(run.2, scalar, "W512, {label}");
+            }
         }
     }
 
@@ -580,6 +529,6 @@ mod tests {
         let x = b.input_bus("x", 1);
         let q = b.dff(x[0], false);
         b.output_bus("y", &[q]);
-        let _ = stuck_at_campaign(&b.finish(), "x", "y", &[0, 0], None, 1);
+        let _ = stuck_at_campaign_wide::<u64>(&b.finish(), "x", "y", &[0, 0], None, 1);
     }
 }

@@ -1,34 +1,29 @@
-//! Batched exhaustive differential checking.
+//! Exhaustive differential checking: what every sweep shares.
 //!
 //! BDD equivalence (the rest of this crate) proves properties
-//! symbolically; this module is the *simulation* side of the house:
-//! sweep every index through the gate-level netlist and compare against
-//! a precomputed expectation table. The scalar sweep pays one full
-//! netlist walk per index; the batched sweep drives a word-level
-//! [`BatchSim`] with [`SimWord::LANES`] consecutive indices per pass,
-//! so the same walk settles 64 (`u64`), 256 ([`W256`]) or 512
-//! ([`W512`]) simulations — the lever that keeps exhaustive converter
-//! checks affordable past n = 4 (n = 6 is 720 indices, n = 7 is 5040).
-//! The width-generic entry points ([`exhaustive_check_batched_wide`])
-//! additionally run the opcode-fused tape
-//! ([`SimProgram::compile_fused`]), which shrinks the op stream the
-//! sweep walks; fusion preserves every output port, so verdicts and
-//! witnesses are unchanged.
+//! symbolically; the sweeps are the *simulation* side of the house:
+//! drive every index through the gate-level netlist and compare against
+//! a precomputed expectation table. This module holds the witness type,
+//! the pre-transposed [`WideExpectation`] table, the range cores that
+//! the sharded entry points run per shard, and the scalar reference
+//! sweep [`exhaustive_check_scalar`] — one full netlist walk per index,
+//! the baseline every word-level sweep is checked against. A word-level
+//! range drives a [`BatchSim`] with [`SimWord::LANES`] consecutive
+//! indices per pass, so one walk settles 64 (`u64`), 256 ([`W256`]) or
+//! 512 ([`W512`]) simulations.
 //!
-//! All sweeps report the *first* mismatching index (batched: lowest
-//! base, then lowest lane — i.e. the same index order as the scalar
+//! All sweeps report the *first* mismatching index (word-level: lowest
+//! batch, then lowest lane — i.e. the same index order as the scalar
 //! sweep, at every lane width), so a fault has one canonical witness
 //! regardless of path.
 //!
-//! The expectation table is data, not a closure, so the timed region of
-//! a scalar-vs-batched benchmark measures simulation throughput alone —
-//! software unranking cost is paid once, outside both sweeps. Table
-//! generation itself lives in the oracle module
-//! ([`crate::expected_permutation_words`] — block-decoded, with a
-//! thread-sharded variant).
+//! The expectation table is data, not a closure, so software unranking
+//! is paid once, outside the sweep. Table generation itself lives in
+//! the oracle module ([`crate::expected_permutation_words`] —
+//! block-decoded, with a thread-sharded variant).
 
 use hwperm_bignum::Ubig;
-use hwperm_logic::{BatchSim, BatchSimulator, Netlist, SimProgram, SimWord, Simulator, LANES};
+use hwperm_logic::{BatchSim, BatchSimulator, Netlist, SimWord, Simulator, LANES};
 use std::fmt;
 
 #[cfg(doc)]
@@ -92,16 +87,16 @@ pub(crate) fn port_width_checked(
 ///
 /// Transposing is pure data preparation — it depends only on the table,
 /// not the netlist — so hoisting it out of the sweep leaves
-/// [`exhaustive_check_batched_with`]'s steady state at one word-level
-/// netlist walk plus `out_bits` XOR/AND ops per `LANES` indices.
-/// Prepare once, sweep many netlists (the mutation suites) or many
-/// repetitions (the throughput benchmark) against it.
+/// [`crate::exhaustive_check_parallel_with`]'s steady state at one
+/// word-level netlist walk plus `out_bits` XOR/AND ops per `LANES`
+/// indices. Prepare once, sweep many netlists or requests against it
+/// (the serve verify cache keeps one per `n`).
 ///
-/// The word type is the lane width: `WideExpectation<u64>` (the
-/// [`BatchedExpectation`] alias) packs 64 indices per batch,
-/// `WideExpectation<W256>` 256, `WideExpectation<W512>` 512. Index
-/// values themselves stay `u64` at every width — the lane count and the
-/// value domain are independent axes.
+/// The word type is the lane width: `WideExpectation<u64>` packs 64
+/// indices per batch, `WideExpectation<W256>` 256,
+/// `WideExpectation<W512>` 512. Index values themselves stay `u64` at
+/// every width — the lane count and the value domain are independent
+/// axes.
 #[derive(Debug, Clone)]
 pub struct WideExpectation<W: SimWord> {
     /// The original per-index table (witness extraction on mismatch).
@@ -115,10 +110,6 @@ pub struct WideExpectation<W: SimWord> {
     /// Per-batch mask of lanes that carry a real index.
     live: Vec<W>,
 }
-
-/// The 64-lane expectation table — the original name, kept as the
-/// `u64` instantiation of [`WideExpectation`].
-pub type BatchedExpectation = WideExpectation<u64>;
 
 impl<W: SimWord> WideExpectation<W> {
     /// Transposes `expected` (element `i` = expected output word at
@@ -184,8 +175,7 @@ impl<W: SimWord> WideExpectation<W> {
     }
 
     /// Number of [`SimWord::LANES`]-lane batches covering the table
-    /// (the granularity at which the sharded parallel sweep splits
-    /// work).
+    /// (the granularity at which the sharded sweep splits work).
     pub fn batches(&self) -> usize {
         self.live.len()
     }
@@ -201,73 +191,11 @@ impl<W: SimWord> WideExpectation<W> {
     }
 }
 
-/// Exhaustive differential sweep, 64 indices per pass: drives `input`
-/// with `0, 1, …, expected.len() - 1` through a [`BatchSimulator`] and
-/// compares `output` lane-wise against `expected`. The `u64`
-/// instantiation of [`exhaustive_check_batched_wide`].
-///
-/// Returns the first mismatch in index order, if any. A trailing
-/// partial batch leaves its unused lanes at zero and never reads them.
-///
-/// # Panics
-/// Panics if either port is missing, the input port cannot represent
-/// every index, or either port exceeds the 64-bit `u64` value domain.
-pub fn exhaustive_check_batched(
-    netlist: &Netlist,
-    input: &str,
-    output: &str,
-    expected: &[u64],
-) -> Result<(), ExhaustiveMismatch> {
-    exhaustive_check_batched_wide::<u64>(netlist, input, output, expected)
-}
-
-/// Width-generic exhaustive differential sweep: [`SimWord::LANES`]
-/// indices settle per tape pass (`u64` = 64, [`W256`] = 256, [`W512`] =
-/// 512), executed on the opcode-fused tape
-/// ([`SimProgram::compile_fused`]). Fusion never elides output ports,
-/// so the verdict and the first-mismatch witness are byte-identical to
-/// the canonical 64-lane sweep at every width.
-///
-/// # Panics
-/// Same conditions as [`exhaustive_check_batched`].
-pub fn exhaustive_check_batched_wide<W: SimWord>(
-    netlist: &Netlist,
-    input: &str,
-    output: &str,
-    expected: &[u64],
-) -> Result<(), ExhaustiveMismatch> {
-    let in_w = port_width_checked(netlist, input, output, expected.len());
-    let out_w = netlist.output_port(output).unwrap().nets.len();
-    let table = WideExpectation::<W>::new(in_w, out_w, expected);
-    let mut sim = BatchSim::from_program(SimProgram::compile_fused_shared(netlist.clone()));
-    exhaustive_check_batched_with(&mut sim, input, output, &table)
-}
-
-/// Steady-state core of [`exhaustive_check_batched`] and its wide
-/// variants: sweeps a pre-transposed [`WideExpectation`] through an
-/// existing simulator of the same word type. Per batch this is one
-/// `set_input_words`, one word-level `eval`, and `out_bits` XOR/AND
-/// comparisons — no per-lane work until a mismatch needs its witness
-/// extracted.
-///
-/// # Panics
-/// Panics if the simulator's port widths disagree with the table.
-pub fn exhaustive_check_batched_with<W: SimWord>(
-    sim: &mut BatchSim<W>,
-    input: &str,
-    output: &str,
-    table: &WideExpectation<W>,
-) -> Result<(), ExhaustiveMismatch> {
-    check_batch_range(sim, input, output, table, 0..table.batches())
-}
-
-/// Range core shared by the sequential and sharded sweeps: checks the
-/// batches in `range` (each covering [`SimWord::LANES`] consecutive
-/// indices) and reports the first mismatch *within that range* in index
-/// order. The sequential sweep passes the full range; the parallel
-/// sweep hands each worker a contiguous sub-range, so the per-worker
-/// result is the worker's lowest mismatch and the earliest-shard
-/// reduction is the global one.
+/// Range core of the word-level sweep: checks the batches in `range`
+/// (each covering [`SimWord::LANES`] consecutive indices) and reports
+/// the first mismatch *within that range* in index order. Each worker
+/// gets a contiguous sub-range, so its result is its lowest mismatch
+/// and the earliest-shard reduction is the global one.
 ///
 /// # Panics
 /// Panics if the simulator's port widths disagree with the table.
@@ -320,13 +248,14 @@ pub(crate) fn check_batch_range<W: SimWord>(
     Ok(())
 }
 
-/// Scalar counterpart of [`exhaustive_check_batched`]: one
-/// [`Simulator`] walk per index, exactly as the pre-batching oracles
-/// did. Kept as the reference implementation (mismatch parity) and the
-/// baseline side of the scalar-vs-batched benchmark.
+/// Scalar reference sweep: drives `input` with `0, 1, …,
+/// expected.len() - 1` through a [`Simulator`], one netlist walk per
+/// index, and compares `output` against `expected`. The word-level
+/// sweeps must report exactly its verdict and first-mismatch witness.
 ///
 /// # Panics
-/// Same conditions as [`exhaustive_check_batched`].
+/// Panics if either port is missing, the input port cannot represent
+/// every index, or either port exceeds the 64-bit `u64` value domain.
 pub fn exhaustive_check_scalar(
     netlist: &Netlist,
     input: &str,
@@ -335,17 +264,6 @@ pub fn exhaustive_check_scalar(
 ) -> Result<(), ExhaustiveMismatch> {
     port_width_checked(netlist, input, output, expected.len());
     let mut sim = Simulator::new(netlist.clone());
-    exhaustive_check_scalar_with(&mut sim, input, output, expected)
-}
-
-/// Steady-state core of [`exhaustive_check_scalar`]: sweeps the table
-/// through an existing scalar simulator, one netlist walk per index.
-pub fn exhaustive_check_scalar_with(
-    sim: &mut Simulator,
-    input: &str,
-    output: &str,
-    expected: &[u64],
-) -> Result<(), ExhaustiveMismatch> {
     for (index, &want) in expected.iter().enumerate() {
         sim.set_input(input, &Ubig::from(index as u64));
         sim.eval();
@@ -363,31 +281,6 @@ pub fn exhaustive_check_scalar_with(
         }
     }
     Ok(())
-}
-
-/// Ground-truth-by-simulation check of every recorded one-hot bank:
-/// sweeps all `2^w` values of the named input port, 64 per pass, and
-/// returns the lowest input value under which some bank is *not*
-/// exactly one-hot (`None` when all banks hold everywhere).
-///
-/// The per-lane exactly-one predicate is computed word-parallel: for a
-/// bank with line words `w`, the chain `one = (one & !w) | (none & w);
-/// none &= !w` leaves bit `l` of `one` set iff lane `l` saw exactly one
-/// hot line — the 64-wide analogue of the BDD chain in
-/// [`crate::check_one_hot_bank`]. This is the simulation cross-check
-/// the lint mutation sweep uses to validate BDD verdicts.
-///
-/// # Panics
-/// Panics if the port is missing or 64+ bits wide (the sweep would not
-/// terminate in this universe anyway).
-pub fn find_one_hot_violation_batched(netlist: &Netlist, input: &str) -> Option<u64> {
-    let banks = netlist.one_hot_banks().to_vec();
-    if banks.is_empty() {
-        return None;
-    }
-    let total = one_hot_sweep_total(netlist, input);
-    let mut sim = BatchSimulator::new(netlist.clone());
-    scan_one_hot_range(&mut sim, &banks, input, 0, total)
 }
 
 /// Validates the swept input port and returns the sweep bound `2^w`.
@@ -408,11 +301,17 @@ pub(crate) fn one_hot_sweep_total(netlist: &Netlist, input: &str) -> u64 {
     1u64 << width
 }
 
-/// Range core shared by the sequential and sharded one-hot sweeps:
-/// scans input values `[start, end)` 64 per pass and returns the lowest
-/// violating value *within that range*. The trailing pass of a range
-/// that is not a multiple of [`LANES`] masks its unused lanes, so
-/// shards of any alignment compose without phantom witnesses.
+/// Range core of the one-hot sweep: scans input values `[start, end)`
+/// 64 per pass and returns the lowest violating value *within that
+/// range*. The trailing pass of a range that is not a multiple of
+/// [`LANES`] masks its unused lanes, so shards of any alignment compose
+/// without phantom witnesses.
+///
+/// The per-lane exactly-one predicate is computed word-parallel: for a
+/// bank with line words `w`, the chain `one = (one & !w) | (none & w);
+/// none &= !w` leaves bit `l` of `one` set iff lane `l` saw exactly one
+/// hot line — the 64-wide analogue of the BDD chain in
+/// [`crate::check_one_hot_bank`].
 pub(crate) fn scan_one_hot_range(
     sim: &mut BatchSimulator,
     banks: &[Vec<hwperm_logic::NetId>],
@@ -456,56 +355,7 @@ pub(crate) fn scan_one_hot_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwperm_logic::{Builder, Gate};
-
-    /// A 3-bit identity "converter": y = x, expectation table 0..8.
-    fn passthrough() -> Netlist {
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 3);
-        b.output_bus("y", &x);
-        b.finish()
-    }
-
-    #[test]
-    fn clean_sweep_passes_both_paths() {
-        let nl = passthrough();
-        let expected: Vec<u64> = (0..8).collect();
-        assert_eq!(exhaustive_check_batched(&nl, "x", "y", &expected), Ok(()));
-        assert_eq!(exhaustive_check_scalar(&nl, "x", "y", &expected), Ok(()));
-    }
-
-    #[test]
-    fn first_mismatch_agrees_between_paths() {
-        let nl = passthrough();
-        // Corrupt expectations at two indices; both sweeps must report
-        // the *lower* one with identical got/want.
-        let mut expected: Vec<u64> = (0..8).collect();
-        expected[5] = 0;
-        expected[6] = 0;
-        let batched = exhaustive_check_batched(&nl, "x", "y", &expected).unwrap_err();
-        let scalar = exhaustive_check_scalar(&nl, "x", "y", &expected).unwrap_err();
-        assert_eq!(batched, scalar);
-        assert_eq!(batched.index, 5);
-        assert_eq!(batched.got, 5);
-        assert_eq!(batched.want, 0);
-        assert_eq!(batched.port, "y");
-    }
-
-    #[test]
-    fn partial_final_batch_checked() {
-        // 100 indices: one full batch plus a 36-lane remainder whose
-        // unused lanes must not produce phantom mismatches.
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 7);
-        b.output_bus("y", &x);
-        let nl = b.finish();
-        let expected: Vec<u64> = (0..100).collect();
-        assert_eq!(exhaustive_check_batched(&nl, "x", "y", &expected), Ok(()));
-        let mut bad = expected;
-        bad[99] = 42; // last lane of the partial batch
-        let err = exhaustive_check_batched(&nl, "x", "y", &bad).unwrap_err();
-        assert_eq!(err.index, 99);
-    }
+    use hwperm_logic::Builder;
 
     #[test]
     fn mismatch_display_names_port_and_index() {
@@ -522,41 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn wide_sweeps_agree_with_the_u64_sweep() {
-        use hwperm_logic::{W256, W512};
-        // 100 indices: a partial W256 batch and a partial W512 batch.
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 7);
-        b.output_bus("y", &x);
-        let nl = b.finish();
-        let clean: Vec<u64> = (0..100).collect();
-        assert_eq!(
-            exhaustive_check_batched_wide::<W256>(&nl, "x", "y", &clean),
-            Ok(())
-        );
-        assert_eq!(
-            exhaustive_check_batched_wide::<W512>(&nl, "x", "y", &clean),
-            Ok(())
-        );
-        // Corrupt two indices: every width must report the same (lower)
-        // witness as the canonical 64-lane sweep — index, port, got,
-        // want all byte-identical.
-        let mut bad = clean;
-        bad[67] = 3; // past lane 64: a W256/W512 lane no u64 batch holds
-        bad[99] = 1;
-        let canonical = exhaustive_check_batched(&nl, "x", "y", &bad).unwrap_err();
-        assert_eq!(canonical.index, 67);
-        let w256 = exhaustive_check_batched_wide::<W256>(&nl, "x", "y", &bad).unwrap_err();
-        let w512 = exhaustive_check_batched_wide::<W512>(&nl, "x", "y", &bad).unwrap_err();
-        assert_eq!(w256, canonical);
-        assert_eq!(w512, canonical);
-    }
-
-    #[test]
     fn wide_tables_transpose_like_the_u64_table() {
         use hwperm_logic::W256;
         let expected: Vec<u64> = (0..100).map(|i| i * 3 % 128).collect();
-        let narrow = BatchedExpectation::new(7, 7, &expected);
+        let narrow = WideExpectation::<u64>::new(7, 7, &expected);
         let wide = WideExpectation::<W256>::new(7, 7, &expected);
         assert_eq!(narrow.len(), wide.len());
         assert_eq!(narrow.batches(), 2);
@@ -570,48 +389,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "do not fit input port")]
     fn oversized_table_rejected() {
-        let nl = passthrough();
+        let mut b = Builder::new();
+        let x = b.input_bus("x", 3);
+        b.output_bus("y", &x);
         let expected: Vec<u64> = (0..9).collect(); // 9 > 2^3
-        let _ = exhaustive_check_batched(&nl, "x", "y", &expected);
-    }
-
-    /// Decoder bank: exactly one-hot for every select value.
-    #[test]
-    fn healthy_decoder_bank_has_no_violation() {
-        let mut b = Builder::new();
-        let sel = b.input_bus("sel", 4);
-        let lines = b.decoder(&sel, 16);
-        b.record_one_hot_bank(&lines);
-        b.output_bus("hot", &lines);
-        let nl = b.finish();
-        assert_eq!(find_one_hot_violation_batched(&nl, "sel"), None);
-    }
-
-    #[test]
-    fn truncated_decoder_bank_reports_lowest_witness() {
-        // 13 of 16 lines: sel in {13, 14, 15} drives zero of them, and
-        // the sweep must name 13 — the lowest violating input.
-        let mut b = Builder::new();
-        let sel = b.input_bus("sel", 4);
-        let lines = b.decoder(&sel, 13);
-        b.record_one_hot_bank(&lines);
-        b.output_bus("hot", &lines);
-        let nl = b.finish();
-        assert_eq!(find_one_hot_violation_batched(&nl, "sel"), Some(13));
-    }
-
-    #[test]
-    fn stuck_line_violation_found_in_partial_batch() {
-        // A 2-bit select (4 values — a single partial batch of 4 lanes)
-        // with one line stuck high: two-hot whenever another line fires.
-        let mut b = Builder::new();
-        let sel = b.input_bus("sel", 2);
-        let lines = b.decoder(&sel, 4);
-        b.record_one_hot_bank(&lines);
-        b.output_bus("hot", &lines);
-        let nl = b.finish();
-        let lines = nl.output_port("hot").unwrap().nets.clone();
-        let stuck = nl.with_gate_replaced(lines[3].index(), Gate::Const(true));
-        assert_eq!(find_one_hot_violation_batched(&stuck, "sel"), Some(0));
+        let _ = crate::exhaustive_check_parallel_wide::<u64>(&b.finish(), "x", "y", &expected, 1);
     }
 }

@@ -12,18 +12,18 @@
 //! converter equals software unranking for every index (not just the
 //! sampled ones), with out-of-range indices treated as don't-cares.
 //!
-//! The symbolic layer is complemented by a batched *simulation* layer
-//! ([`exhaustive_check_batched`], [`find_one_hot_violation_batched`]):
+//! The symbolic layer is complemented by a *simulation* layer:
 //! exhaustive sweeps through the word-level `BatchSim`, one word of
 //! indices per netlist walk — 64 lanes at `u64`, 256/512 at the wide
-//! words via [`exhaustive_check_batched_wide`] — used where a concrete
-//! first-mismatch witness (or a BDD-independent cross-check) is
-//! wanted. A third, sharded layer ([`exhaustive_check_parallel`],
-//! [`exhaustive_check_parallel_wide`],
-//! [`find_one_hot_violation_parallel`]) fans the batched sweep out over
-//! OS threads — contiguous per-worker index blocks over one shared
-//! compiled tape — with the same deterministic lowest-index reporting
-//! as the sequential sweeps, at every lane width.
+//! words — used where a concrete first-mismatch witness (or a
+//! BDD-independent cross-check) is wanted. The sweeps
+//! ([`exhaustive_check_parallel_wide`], its steady-state core
+//! [`exhaustive_check_parallel_with`], and
+//! [`find_one_hot_violation_parallel`]) shard the index space into
+//! contiguous per-worker blocks over one shared compiled tape, with the
+//! same deterministic lowest-index witness as the scalar reference
+//! [`exhaustive_check_scalar`] at every lane width and worker count;
+//! `workers = 1` runs on the calling thread alone.
 //!
 //! ```
 //! use hwperm_logic::Builder;
@@ -45,12 +45,16 @@
 //! ```
 
 //!
-//! A fourth layer turns the sweeps inward: [`stuck_at_campaign`] runs
-//! the single-stuck-at fault universe of a netlist through 64-lane
-//! fault overlays (`hwperm-faults`), classifying every fault as
-//! detected, silent, or masked against the golden table — the
+//! A third layer turns the sweeps inward: [`stuck_at_campaign_wide`]
+//! runs the single-stuck-at fault universe of a netlist through
+//! word-level fault overlays (`hwperm-faults`), classifying every fault
+//! as detected, silent, or masked against the golden table — the
 //! measurement side of the robustness story whose runtime side is
 //! `hwperm_core`'s guarded streams.
+//!
+//! Performance of these paths is tracked by the repository benchmark
+//! (`benchmark/README.md`): the n = 9 sweep as `verify_ms`, the n = 8
+//! campaign as `campaign_ms`, and the n = 7 table proof as `prove_ms`.
 
 mod campaign;
 mod exhaustive;
@@ -60,14 +64,10 @@ mod oracle;
 mod parallel;
 
 pub use campaign::{
-    golden_output_words, single_stuck_at_universe, stuck_at_campaign, stuck_at_campaign_scalar,
+    golden_output_words, single_stuck_at_universe, stuck_at_campaign_scalar,
     stuck_at_campaign_wide, CampaignReport, FaultOutcome, FaultVerdict,
 };
-pub use exhaustive::{
-    exhaustive_check_batched, exhaustive_check_batched_wide, exhaustive_check_batched_with,
-    exhaustive_check_scalar, exhaustive_check_scalar_with, find_one_hot_violation_batched,
-    BatchedExpectation, ExhaustiveMismatch, WideExpectation,
-};
+pub use exhaustive::{exhaustive_check_scalar, ExhaustiveMismatch, WideExpectation};
 pub use miter::{
     prove_against_table, prove_against_table_budgeted, prove_equivalent, prove_equivalent_budgeted,
     prove_inverse_identity, prove_pipelined_equivalent, ProofStats, ProveOutcome,
@@ -81,8 +81,8 @@ pub use oracle::{
     expected_variation_words,
 };
 pub use parallel::{
-    exhaustive_check_parallel, exhaustive_check_parallel_repeat, exhaustive_check_parallel_wide,
-    exhaustive_check_parallel_with, find_one_hot_violation_parallel, shard_ranges,
+    exhaustive_check_parallel_wide, exhaustive_check_parallel_with,
+    find_one_hot_violation_parallel, shard_ranges,
 };
 
 use hwperm_bdd::{Manager, NodeId};

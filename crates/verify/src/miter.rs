@@ -265,7 +265,7 @@ pub fn prove_equivalent_budgeted(
 /// # Panics
 /// Panics if either port is missing, the input port cannot represent
 /// every index, or a port exceeds the 64-bit witness path (the same
-/// contract as [`crate::exhaustive_check_batched`]).
+/// contract as [`crate::exhaustive_check_parallel_wide`]).
 pub fn prove_against_table(
     netlist: &Netlist,
     input: &str,

@@ -2,9 +2,9 @@
 //!
 //! Every exhaustive check in this crate compares the netlist against an
 //! expectation table — element `i` is the packed word of the
-//! permutation at factoradic index `i`. PRs 2–3 made the gate-level
-//! side fast (64 lanes × threads); this module makes the *software*
-//! side match: tables are produced by the block-decoding engine
+//! permutation at factoradic index `i`. The gate-level side is fast
+//! (lanes × threads); this module makes the *software* side match:
+//! tables are produced by the block-decoding engine
 //! ([`BlockDecoder`] — one true unranking per block, in-place
 //! lexicographic successor stepping for the rest) instead of a full
 //! factoradic decode per index, and can be sharded across worker
@@ -12,16 +12,18 @@
 //!
 //! **Determinism argument for the sharded path:** the table is a pure
 //! function of `n` — entry `i` depends only on `i`. Shards are
-//! contiguous, ascending index ranges (the same balanced split as
-//! `hwperm_core::ParallelPlan` and [`crate::parallel`]'s batch shards);
-//! each worker decodes its range independently (base unranked once,
-//! successors after), and the reduction concatenates the per-shard
-//! vectors in shard order. Every index lands in exactly one shard at
-//! its original offset order, so the output is byte-identical to the
-//! sequential table for *every* worker count — asserted by the
-//! `oracle_parity` test suite.
+//! contiguous, ascending index ranges ([`crate::shard_ranges`], the
+//! same balanced split as `hwperm_core::ParallelPlan` and the sweeps'
+//! batch shards); each worker decodes its range independently (base
+//! unranked once, successors after), and the reduction concatenates
+//! the per-shard vectors in shard order. Every index lands in exactly
+//! one shard at its original offset order, so the output is
+//! byte-identical to the sequential table for *every* worker count —
+//! asserted by the `oracle_parity` test suite. The repository benchmark
+//! times the n = 9 table as `factoradic.table_ms`, inside `verify_ms`
+//! on its `computed` workload (see `benchmark/README.md`).
 
-use crate::parallel::shard_ranges;
+use crate::parallel::fan_out;
 use hwperm_factoradic::BlockDecoder;
 
 fn check_supported_n(n: usize) {
@@ -51,33 +53,19 @@ pub fn expected_permutation_words(n: usize) -> Vec<u64> {
 
 /// Sharded [`expected_permutation_words`]: splits `[0, n!)` into
 /// `workers` contiguous balanced blocks, block-decodes each on its own
-/// OS thread, and concatenates in shard order. Byte-identical to the
-/// sequential table for every worker count (see the module docs for the
-/// determinism argument).
+/// worker (the first on the calling thread), and concatenates in shard
+/// order. Byte-identical to the sequential table for every worker count
+/// (see the module docs for the determinism argument).
 ///
 /// # Panics
 /// Panics if `workers == 0` or `n` is outside the supported `1..=9`.
 pub fn expected_permutation_words_parallel(n: usize, workers: usize) -> Vec<u64> {
     check_supported_n(n);
-    assert!(workers >= 1, "need at least one worker");
     let total = BlockDecoder::new(n).total();
-    let shards = shard_ranges(total as usize, workers);
-    let chunks: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    BlockDecoder::new(n).decode_words(shard.start as u64..shard.end as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("oracle worker panicked"))
-            .collect()
-    });
     let mut out = Vec::with_capacity(total as usize);
-    for chunk in chunks {
+    for chunk in fan_out(total as usize, workers, |shard| {
+        BlockDecoder::new(n).decode_words(shard.start as u64..shard.end as u64)
+    }) {
         out.extend_from_slice(&chunk);
     }
     out

@@ -1,15 +1,19 @@
 //! Thread × lane sharded exhaustive verification.
 //!
-//! The batched sweeps in [`crate::exhaustive`] settle one word of test
-//! vectors per netlist walk — 64 (`u64`), 256
-//! ([`W256`](hwperm_logic::W256)) or 512
-//! ([`W512`](hwperm_logic::W512)) lanes — but still occupy one core.
-//! This module adds the second axis: the index space `[0, 2^w)` /
-//! `[0, n!)` is split into contiguous per-worker blocks — the same
-//! balanced-split idiom as `hwperm_core::ParallelPlan`, applied to
-//! word-sized batches — and each worker runs the word-level sweep over
-//! its block on its own OS thread, so throughput scales as *threads ×
-//! lanes*.
+//! A word-level sweep settles one word of test vectors per netlist walk
+//! — 64 (`u64`), 256 ([`W256`](hwperm_logic::W256)) or 512
+//! ([`W512`](hwperm_logic::W512)) lanes. This module adds the second
+//! axis: the index space `[0, 2^w)` / `[0, n!)` is split into contiguous
+//! per-worker blocks of word-sized batches ([`shard_ranges`] — the same
+//! balanced split as `hwperm_core::ParallelPlan`), and each worker
+//! sweeps its block, so throughput scales as *threads × lanes*.
+//!
+//! Every sharded job in this crate — these sweeps, the stuck-at
+//! campaign and the sharded oracle table — runs through one private
+//! fan-out: shard 0 runs on the calling thread and the rest on scoped
+//! threads, results come back in shard order, and a panicking shard's
+//! payload reaches the caller unchanged. `workers = 1` therefore spawns
+//! no thread and is exactly the sequential sweep.
 //!
 //! Workers share exactly one thing: the compiled
 //! [`SimProgram`](hwperm_logic::SimProgram) behind an `Arc`. Each
@@ -17,18 +21,21 @@
 //! shared tape, so spinning up a worker costs one allocation, not one
 //! netlist compilation.
 //!
-//! **Deterministic reporting guarantee:** the parallel sweeps return
-//! *byte-identical* results to their sequential counterparts —
-//! [`exhaustive_check_parallel`] reports the same lowest-index first
-//! mismatch as [`crate::exhaustive_check_batched`] (same index, port,
-//! got, want), and [`find_one_hot_violation_parallel`] the same lowest
-//! violating input as [`crate::find_one_hot_violation_batched`] — for
-//! every worker count. Shards are contiguous and ascending, every
+//! **Deterministic reporting guarantee:** results are *byte-identical*
+//! for every width and worker count — [`exhaustive_check_parallel_wide`]
+//! reports the same lowest-index first mismatch (same index, port, got,
+//! want) as [`crate::exhaustive_check_scalar`], and
+//! [`find_one_hot_violation_parallel`] the same lowest violating input
+//! as a one-worker scan. Shards are contiguous and ascending, every
 //! worker reports the lowest divergence *within its shard*, and the
 //! reduction takes the first report in shard order, which is therefore
 //! the globally lowest index. Lanes are independent (combinational
 //! words never mix bits across lanes), so the got/want words cannot
 //! depend on which batch companions an index happens to ride with.
+//!
+//! The repository benchmark (`benchmark/README.md`) times the n = 9
+//! sweep end to end as `verify_ms`, and its transpose and steady state
+//! per layer as `verify.transpose_ms` and `verify.sweep_steady_ms`.
 
 use crate::exhaustive::{
     check_batch_range, one_hot_sweep_total, port_width_checked, scan_one_hot_range,
@@ -64,42 +71,56 @@ pub fn shard_ranges(items: usize, workers: usize) -> Vec<Range<usize>> {
     shards
 }
 
-/// Multi-threaded [`crate::exhaustive_check_batched`]: shards the index
-/// space into contiguous per-worker blocks of 64-lane batches, sweeps
-/// each block on its own thread, and reduces to the same deterministic
-/// lowest-index first-mismatch report as the sequential sweep (see the
-/// module docs for why the reports are byte-identical).
+/// Runs `work` on every range of [`shard_ranges`]`(items, workers)` and
+/// returns the results in shard order. Shard 0 runs on the calling
+/// thread, the others on scoped threads.
 ///
-/// `workers = 1` degrades to the sequential sweep plus one thread
-/// spawn; worker counts beyond the batch count leave the excess threads
-/// with empty shards.
+/// # Panics
+/// Panics if `workers == 0`; if a shard panics, the first panicking
+/// shard's payload is resumed on the caller unchanged.
+pub(crate) fn fan_out<T: Send>(
+    items: usize,
+    workers: usize,
+    work: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    let mut shards = shard_ranges(items, workers).into_iter();
+    let first = shards.next().expect("one shard per worker");
+    let work = &work;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = shards
+            .map(|shard| scope.spawn(move || work(shard)))
+            .collect();
+        let mut results = Vec::with_capacity(workers);
+        results.push(work(first));
+        for handle in spawned {
+            results.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        results
+    })
+}
+
+/// Exhaustive differential sweep: drives `input` with `0, 1, …,
+/// expected.len() - 1`, compares `output` against `expected`, and
+/// returns the first mismatch in index order, if any.
+///
+/// Each of `workers` shards settles [`SimWord::LANES`] indices per pass
+/// of the opcode-fused tape
+/// ([`SimProgram::compile_fused`](hwperm_logic::SimProgram::compile_fused))
+/// — 64 at `u64`, 256 at [`W256`](hwperm_logic::W256), 512 at
+/// [`W512`](hwperm_logic::W512). Fusion never elides output ports, so
+/// the verdict and witness equal [`crate::exhaustive_check_scalar`]'s
+/// at every width and worker count. A trailing partial batch leaves its
+/// unused lanes at zero and never reads them; workers beyond the batch
+/// count get empty shards.
 ///
 /// # Panics
 /// Panics if `workers == 0`, either port is missing, the input port
 /// cannot represent every index, or either port exceeds the 64-bit
-/// `u64` fast path.
-pub fn exhaustive_check_parallel(
-    netlist: &Netlist,
-    input: &str,
-    output: &str,
-    expected: &[u64],
-    workers: usize,
-) -> Result<(), ExhaustiveMismatch> {
-    exhaustive_check_parallel_wide::<u64>(netlist, input, output, expected, workers)
-}
-
-/// Width-generic [`exhaustive_check_parallel`]: every worker settles
-/// [`SimWord::LANES`] indices per tape pass over the opcode-fused tape
-/// ([`SimProgram::compile_fused`]), so throughput scales as *threads ×
-/// lanes* with the lane axis at 64 (`u64`), 256
-/// ([`W256`](hwperm_logic::W256)) or 512
-/// ([`W512`](hwperm_logic::W512)). The deterministic reporting
-/// guarantee holds across widths too: shards stay contiguous and
-/// ascending in index order, so the reduction returns the same
-/// lowest-index witness the canonical 64-lane sweep reports.
-///
-/// # Panics
-/// Same conditions as [`exhaustive_check_parallel`].
+/// `u64` value domain.
 pub fn exhaustive_check_parallel_wide<W: SimWord + Send + Sync>(
     netlist: &Netlist,
     input: &str,
@@ -114,13 +135,14 @@ pub fn exhaustive_check_parallel_wide<W: SimWord + Send + Sync>(
     exhaustive_check_parallel_with(&program, input, output, &table, workers)
 }
 
-/// Steady-state core of [`exhaustive_check_parallel`]: sweeps a
-/// pre-transposed table over an already-compiled shared tape. Use this
-/// when checking many tables (or repetitions) against one circuit so
-/// compilation and transposition stay out of the measured region.
+/// Steady-state core of [`exhaustive_check_parallel_wide`]: sweeps a
+/// pre-transposed table over an already-compiled shared tape, so
+/// compilation and transposition are paid once for many sweeps (the
+/// serve verify cache keeps both per `n`).
 ///
 /// # Panics
-/// Same conditions as [`exhaustive_check_parallel`].
+/// Panics if `workers == 0` or the tape's output port width disagrees
+/// with the table.
 pub fn exhaustive_check_parallel_with<W: SimWord + Send + Sync>(
     program: &Arc<SimProgram>,
     input: &str,
@@ -128,62 +150,24 @@ pub fn exhaustive_check_parallel_with<W: SimWord + Send + Sync>(
     table: &WideExpectation<W>,
     workers: usize,
 ) -> Result<(), ExhaustiveMismatch> {
-    exhaustive_check_parallel_repeat(program, input, output, table, workers, 1)
+    // Shards ascend and each reports its own lowest mismatch, so the
+    // first error in shard order is the globally lowest index.
+    fan_out(table.batches(), workers, |shard| {
+        let mut sim = BatchSim::<W>::from_program(Arc::clone(program));
+        check_batch_range(&mut sim, input, output, table, shard)
+    })
+    .into_iter()
+    .collect()
 }
 
-/// Benchmark entry point: like [`exhaustive_check_parallel_with`], but
-/// every worker re-sweeps its shard `repeats` times inside one thread
-/// scope before the reduction. Simulation is deterministic, so the
-/// result is identical to a single sweep; the point is to amortize the
-/// per-scope thread-spawn cost when timing steady-state throughput
-/// (`tables threadbench` and the criterion bench use this — a single
-/// n = 6 sweep is only 12 batches, far too little work to cover a
-/// thread spawn).
-///
-/// # Panics
-/// Same conditions as [`exhaustive_check_parallel`], plus
-/// `repeats == 0`.
-pub fn exhaustive_check_parallel_repeat<W: SimWord + Send + Sync>(
-    program: &Arc<SimProgram>,
-    input: &str,
-    output: &str,
-    table: &WideExpectation<W>,
-    workers: usize,
-    repeats: usize,
-) -> Result<(), ExhaustiveMismatch> {
-    assert!(repeats >= 1, "need at least one repetition");
-    let shards = shard_ranges(table.batches(), workers);
-    let results: Vec<Result<(), ExhaustiveMismatch>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                let program = Arc::clone(program);
-                scope.spawn(move || {
-                    let mut sim = BatchSim::<W>::from_program(program);
-                    let mut result = Ok(());
-                    for _ in 0..repeats {
-                        result = check_batch_range(&mut sim, input, output, table, shard.clone());
-                    }
-                    result
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("verification worker panicked"))
-            .collect()
-    });
-    // Shards ascend, each worker reports its own lowest mismatch, so
-    // the first error in shard order is the globally lowest index.
-    results.into_iter().collect()
-}
-
-/// Multi-threaded [`crate::find_one_hot_violation_batched`]: shards
-/// `[0, 2^w)` into contiguous batch-aligned per-worker blocks and
-/// returns the lowest input value under which some recorded one-hot
-/// bank is not exactly one-hot (`None` when all banks hold everywhere).
-/// Deterministic for every worker count, by the same shard-order
-/// argument as [`exhaustive_check_parallel`].
+/// Ground-truth-by-simulation check of every recorded one-hot bank:
+/// sweeps all `2^w` values of the named input port, 64 per pass, over
+/// `workers` contiguous batch-aligned shards, and returns the lowest
+/// input value under which some bank is *not* exactly one-hot (`None`
+/// when all banks hold everywhere). Deterministic for every worker
+/// count, by the same shard-order argument as the exhaustive sweep.
+/// This is the simulation cross-check the lint mutation sweep uses to
+/// validate BDD verdicts.
 ///
 /// # Panics
 /// Panics if `workers == 0`, the port is missing, or the port is 64+
@@ -194,42 +178,35 @@ pub fn find_one_hot_violation_parallel(
     workers: usize,
 ) -> Option<u64> {
     assert!(workers >= 1, "need at least one worker");
-    let banks = netlist.one_hot_banks().to_vec();
+    let banks = netlist.one_hot_banks();
     if banks.is_empty() {
         return None;
     }
     let total = one_hot_sweep_total(netlist, input);
     let batches = total.div_ceil(LANES as u64) as usize;
     let program = SimProgram::compile_shared(netlist.clone());
-    let shards = shard_ranges(batches, workers);
-    let results: Vec<Option<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                let program = Arc::clone(&program);
-                let banks = &banks;
-                scope.spawn(move || {
-                    let mut sim = BatchSimulator::from_program(program);
-                    let start = (shard.start * LANES) as u64;
-                    let end = ((shard.end * LANES) as u64).min(total);
-                    scan_one_hot_range(&mut sim, banks, input, start, end)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("verification worker panicked"))
-            .collect()
-    });
-    results.into_iter().flatten().next()
+    fan_out(batches, workers, |shard| {
+        let mut sim = BatchSimulator::from_program(Arc::clone(&program));
+        let start = (shard.start * LANES) as u64;
+        let end = ((shard.end * LANES) as u64).min(total);
+        scan_one_hot_range(&mut sim, banks, input, start, end)
+    })
+    .into_iter()
+    .flatten()
+    .next()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exhaustive::{exhaustive_check_batched, BatchedExpectation};
-    use crate::find_one_hot_violation_batched;
-    use hwperm_logic::Builder;
+    use crate::exhaustive_check_scalar;
+    use hwperm_logic::{Builder, Gate, W256, W512};
+    use std::thread;
+
+    /// Worker counts every sweep is pinned at: sequential (1), even
+    /// splits (2, 8) and an odd count (3) whose remainder lands on the
+    /// leading shards.
+    const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
     fn passthrough(bits: usize) -> Netlist {
         let mut b = Builder::new();
@@ -237,6 +214,15 @@ mod tests {
         b.output_bus("y", &x);
         b.finish()
     }
+
+    type Sweep = fn(&Netlist, &str, &str, &[u64], usize) -> Result<(), ExhaustiveMismatch>;
+
+    /// The lane widths every sweep is pinned at.
+    const WIDTHS: [(&str, Sweep); 3] = [
+        ("u64", exhaustive_check_parallel_wide::<u64>),
+        ("W256", exhaustive_check_parallel_wide::<W256>),
+        ("W512", exhaustive_check_parallel_wide::<W512>),
+    ];
 
     #[test]
     fn shard_ranges_tile_and_balance() {
@@ -281,150 +267,158 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_runs_shard_zero_on_the_caller_in_shard_order() {
+        let caller = thread::current().id();
+        for workers in WORKER_COUNTS {
+            // 5 items leave 8 workers with empty trailing shards.
+            for items in [0usize, 5, 64] {
+                let results = fan_out(items, workers, |shard| (shard, thread::current().id()));
+                let shards: Vec<Range<usize>> = results.iter().map(|(s, _)| s.clone()).collect();
+                assert_eq!(shards, shard_ranges(items, workers), "{items} x {workers}");
+                assert_eq!(results[0].1, caller, "shard 0 runs on the calling thread");
+                assert!(
+                    results[1..].iter().all(|(_, id)| *id != caller),
+                    "{items} x {workers}: later shards run on spawned threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_resumes_the_panicking_shards_own_payload() {
+        // Shard 0 panics on the caller; a later shard panics on its own
+        // thread. Either way the caller sees that shard's message.
+        for (workers, bad) in [(1usize, 0usize), (2, 1), (3, 0), (3, 2), (8, 5)] {
+            let payload = std::panic::catch_unwind(|| {
+                fan_out(workers, workers, |shard| {
+                    if shard.start == bad {
+                        panic!("shard {bad} of {workers} failed");
+                    }
+                })
+            })
+            .unwrap_err();
+            assert_eq!(
+                payload.downcast_ref::<String>(),
+                Some(&format!("shard {bad} of {workers} failed"))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the 4-bit expectation table")]
+    fn sweep_panics_surface_with_their_own_message() {
+        let table = WideExpectation::<u64>::new(3, 4, &[0; 8]);
+        let program = SimProgram::compile_shared(passthrough(3));
+        let _ = exhaustive_check_parallel_with(&program, "x", "y", &table, 3);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
-        let nl = passthrough(3);
         let expected: Vec<u64> = (0..8).collect();
-        let _ = exhaustive_check_parallel(&nl, "x", "y", &expected, 0);
+        let _ = exhaustive_check_parallel_wide::<u64>(&passthrough(3), "x", "y", &expected, 0);
     }
 
     #[test]
-    fn clean_sweep_passes_for_every_worker_count() {
-        let nl = passthrough(8); // 256 indices = 4 batches
-        let expected: Vec<u64> = (0..256).collect();
-        for workers in [1usize, 2, 3, 4, 8, 13] {
-            assert_eq!(
-                exhaustive_check_parallel(&nl, "x", "y", &expected, workers),
-                Ok(()),
-                "workers = {workers}"
-            );
+    fn every_width_and_worker_count_reports_the_scalar_witness() {
+        // (port bits, table length, corrupted (index, want) entries).
+        // Lengths cover a single partial batch (8), partial u64 / W256 /
+        // W512 batches (100), and whole batches at every width (256,
+        // 512); corruptions sit past lane 64, on the last lane of a
+        // partial or final batch, and across prospective shards.
+        let cases: [(usize, u64, &[(usize, u64)]); 10] = [
+            (3, 8, &[]),
+            (3, 8, &[(5, 0), (6, 0)]),
+            (3, 8, &[(6, 0)]),
+            (7, 100, &[]),
+            (7, 100, &[(99, 42)]),
+            (7, 100, &[(67, 3), (99, 1)]),
+            (8, 256, &[]),
+            (8, 256, &[(70, 69), (71, 68), (130, 129), (255, 252)]),
+            (8, 256, &[(255, 0)]),
+            (9, 512, &[(200, 205), (201, 204), (400, 405), (511, 506)]),
+        ];
+        for (bits, len, corrupted) in cases {
+            let nl = passthrough(bits);
+            let mut expected: Vec<u64> = (0..len).collect();
+            for &(index, want) in corrupted {
+                expected[index] = want;
+            }
+            // A passthrough outputs its index, so the witness is the
+            // lowest corrupted entry.
+            let witness = corrupted.first().map(|&(index, want)| ExhaustiveMismatch {
+                index: index as u64,
+                port: "y".into(),
+                got: index as u64,
+                want,
+            });
+            let scalar = exhaustive_check_scalar(&nl, "x", "y", &expected);
+            assert_eq!(scalar.clone().err(), witness, "{bits}-bit scalar sweep");
+            for (width, sweep) in WIDTHS {
+                for workers in WORKER_COUNTS {
+                    assert_eq!(
+                        sweep(&nl, "x", "y", &expected, workers),
+                        scalar,
+                        "{bits}-bit table of {len}, {width}, {workers} workers"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn first_mismatch_identical_to_sequential_for_every_worker_count() {
-        let nl = passthrough(8);
-        // Corrupt several indices across different prospective shards;
-        // every worker count must report exactly the sequential witness.
-        let mut expected: Vec<u64> = (0..256).collect();
-        for &i in &[70usize, 71, 130, 255] {
-            expected[i] ^= 0x3;
-        }
-        let sequential = exhaustive_check_batched(&nl, "x", "y", &expected).unwrap_err();
-        assert_eq!(sequential.index, 70);
-        for workers in [1usize, 2, 3, 8] {
-            let parallel =
-                exhaustive_check_parallel(&nl, "x", "y", &expected, workers).unwrap_err();
-            assert_eq!(parallel, sequential, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn wide_parallel_witness_matches_sequential_for_every_worker_count() {
-        use hwperm_logic::{W256, W512};
-        let nl = passthrough(9); // 512 indices: 8 u64 / 2 W256 / 1 W512 batches
-        let mut expected: Vec<u64> = (0..512).collect();
-        for &i in &[200usize, 201, 400, 511] {
-            expected[i] ^= 0x5;
-        }
-        let sequential = exhaustive_check_batched(&nl, "x", "y", &expected).unwrap_err();
-        assert_eq!(sequential.index, 200);
-        for workers in [1usize, 2, 3, 8] {
-            let w256 = exhaustive_check_parallel_wide::<W256>(&nl, "x", "y", &expected, workers)
-                .unwrap_err();
-            let w512 = exhaustive_check_parallel_wide::<W512>(&nl, "x", "y", &expected, workers)
-                .unwrap_err();
-            assert_eq!(w256, sequential, "W256, workers = {workers}");
-            assert_eq!(w512, sequential, "W512, workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn wide_parallel_clean_sweep_passes() {
-        use hwperm_logic::W512;
-        let nl = passthrough(8);
-        let expected: Vec<u64> = (0..256).collect();
-        for workers in [1usize, 3, 8] {
-            assert_eq!(
-                exhaustive_check_parallel_wide::<W512>(&nl, "x", "y", &expected, workers),
-                Ok(()),
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn mismatch_in_late_shard_still_found() {
-        let nl = passthrough(8);
-        let mut expected: Vec<u64> = (0..256).collect();
-        expected[255] = 0; // last lane of the last batch
-        for workers in [1usize, 2, 4, 8] {
-            let err = exhaustive_check_parallel(&nl, "x", "y", &expected, workers).unwrap_err();
-            assert_eq!(err.index, 255, "workers = {workers}");
-            assert_eq!(err.got, 255);
-            assert_eq!(err.want, 0);
-        }
-    }
-
-    #[test]
-    fn more_workers_than_batches_degrades_gracefully() {
-        let nl = passthrough(3); // 8 indices = a single partial batch
-        let mut expected: Vec<u64> = (0..8).collect();
-        expected[6] = 0;
-        let err = exhaustive_check_parallel(&nl, "x", "y", &expected, 8).unwrap_err();
-        assert_eq!(err.index, 6);
-    }
-
-    #[test]
-    fn repeats_return_the_single_sweep_result() {
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 7);
-        b.output_bus("y", &x);
-        let nl = b.finish();
+    fn steady_state_sweep_over_a_shared_tape_matches_the_scalar_witness() {
+        // The canonical (unfused) tape and a table transposed once.
+        let nl = passthrough(7);
         let mut expected: Vec<u64> = (0..100).collect();
         expected[99] = 1;
-        let table = BatchedExpectation::new(7, 7, &expected);
+        let scalar = exhaustive_check_scalar(&nl, "x", "y", &expected);
+        assert_eq!(scalar.as_ref().unwrap_err().index, 99);
         let program = SimProgram::compile_shared(nl);
-        let once = exhaustive_check_parallel_with(&program, "x", "y", &table, 3);
-        let many = exhaustive_check_parallel_repeat(&program, "x", "y", &table, 3, 5);
-        assert_eq!(once, many);
-        assert_eq!(once.unwrap_err().index, 99);
-    }
-
-    #[test]
-    fn one_hot_parallel_matches_sequential() {
-        // Truncated decoder: sel in {13, 14, 15} drives zero lines, so
-        // the lowest witness is 13 for every worker count.
-        let mut b = Builder::new();
-        let sel = b.input_bus("sel", 4);
-        let lines = b.decoder(&sel, 13);
-        b.record_one_hot_bank(&lines);
-        b.output_bus("hot", &lines);
-        let nl = b.finish();
-        assert_eq!(find_one_hot_violation_batched(&nl, "sel"), Some(13));
-        for workers in [1usize, 2, 3, 8] {
+        let table = WideExpectation::<u64>::new(7, 7, &expected);
+        for workers in WORKER_COUNTS {
             assert_eq!(
-                find_one_hot_violation_parallel(&nl, "sel", workers),
-                Some(13),
+                exhaustive_check_parallel_with(&program, "x", "y", &table, workers),
+                scalar,
                 "workers = {workers}"
             );
         }
     }
 
-    #[test]
-    fn one_hot_parallel_clean_bank_and_no_banks() {
+    fn decoder_bank(sel_bits: usize, lines: usize) -> Netlist {
         let mut b = Builder::new();
-        let sel = b.input_bus("sel", 4);
-        let lines = b.decoder(&sel, 16);
+        let sel = b.input_bus("sel", sel_bits);
+        let lines = b.decoder(&sel, lines);
         b.record_one_hot_bank(&lines);
         b.output_bus("hot", &lines);
-        let nl = b.finish();
-        for workers in [1usize, 2, 8] {
-            assert_eq!(find_one_hot_violation_parallel(&nl, "sel", workers), None);
+        b.finish()
+    }
+
+    #[test]
+    fn one_hot_scan_reports_the_lowest_witness_at_every_worker_count() {
+        // 13 of 16 lines: sel in {13, 14, 15} drives zero of them.
+        let truncated = decoder_bank(4, 13);
+        // A 2-bit select (a single partial batch of 4 lanes) with one
+        // line stuck high: two-hot whenever another line fires.
+        let stuck = {
+            let nl = decoder_bank(2, 4);
+            let lines = nl.output_port("hot").unwrap().nets.clone();
+            nl.with_gate_replaced(lines[3].index(), Gate::Const(true))
+        };
+        let cases = [
+            ("healthy decoder", decoder_bank(4, 16), "sel", None),
+            ("truncated decoder", truncated, "sel", Some(13)),
+            ("stuck line", stuck, "sel", Some(0)),
+            ("no recorded banks", passthrough(3), "x", None),
+        ];
+        for (label, nl, port, want) in cases {
+            for workers in WORKER_COUNTS {
+                assert_eq!(
+                    find_one_hot_violation_parallel(&nl, port, workers),
+                    want,
+                    "{label}, {workers} workers"
+                );
+            }
         }
-        // No recorded banks: trivially None, even with a missing port
-        // untouched (the bank check short-circuits first).
-        let plain = passthrough(3);
-        assert_eq!(find_one_hot_violation_parallel(&plain, "x", 4), None);
     }
 }

@@ -1,45 +1,67 @@
-//! Exhaustive batched differential checks of the Fig. 1 converter:
-//! every index in `[0, n!)` through the gate-level netlist, 64 lanes
-//! per pass, against the software unranker — plus mismatch-reporting
-//! parity with the scalar sweep on deliberately broken netlists.
+//! Exhaustive word-level differential checks of the Fig. 1 converter:
+//! every index in `[0, n!)` through the gate-level netlist, at every
+//! lane width (`u64`/`W256`/`W512`) and worker count (1/2/3/8), against
+//! the software unranker — plus mismatch-reporting parity with the
+//! scalar sweep on deliberately broken netlists.
 
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{Gate, Simulator};
+use hwperm_logic::{Gate, Netlist, Simulator, W256, W512};
 use hwperm_verify::{
-    exhaustive_check_batched, exhaustive_check_scalar, expected_permutation_words,
+    exhaustive_check_parallel_wide, exhaustive_check_scalar, expected_permutation_words,
+    ExhaustiveMismatch,
 };
 
-fn converter(n: usize) -> hwperm_logic::Netlist {
+const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
+
+type Sweep = fn(&Netlist, &str, &str, &[u64], usize) -> Result<(), ExhaustiveMismatch>;
+
+const WIDTHS: [(&str, Sweep); 3] = [
+    ("u64", exhaustive_check_parallel_wide::<u64>),
+    ("W256", exhaustive_check_parallel_wide::<W256>),
+    ("W512", exhaustive_check_parallel_wide::<W512>),
+];
+
+fn converter(n: usize) -> Netlist {
     converter_netlist(n, ConverterOptions::default())
+}
+
+/// Asserts that every width × worker-count sweep of `expected` returns
+/// `want`.
+fn assert_every_sweep(
+    netlist: &Netlist,
+    expected: &[u64],
+    want: &Result<(), ExhaustiveMismatch>,
+    what: &str,
+) {
+    for (width, sweep) in WIDTHS {
+        for workers in WORKER_COUNTS {
+            assert_eq!(
+                &sweep(netlist, "index", "perm", expected, workers),
+                want,
+                "{what}, {width}, {workers} workers"
+            );
+        }
+    }
 }
 
 #[test]
 fn converter_n4_to_n6_pass_the_batched_sweep() {
     for n in 4..=6 {
-        let netlist = converter(n);
         let expected = expected_permutation_words(n);
-        assert_eq!(
-            exhaustive_check_batched(&netlist, "index", "perm", &expected),
-            Ok(()),
-            "n = {n}"
-        );
+        assert_every_sweep(&converter(n), &expected, &Ok(()), &format!("n = {n}"));
     }
 }
 
 #[test]
 #[ignore = "n = 7 sweeps 5040 indices through a ~300-gate netlist; run with --ignored"]
 fn converter_n7_passes_the_batched_sweep() {
-    let netlist = converter(7);
     let expected = expected_permutation_words(7);
-    assert_eq!(
-        exhaustive_check_batched(&netlist, "index", "perm", &expected),
-        Ok(())
-    );
+    assert_every_sweep(&converter(7), &expected, &Ok(()), "n = 7");
 }
 
 /// The minimal mismatching index found by a third, independent walk:
 /// one scalar simulation per index, no batching, no early-out state.
-fn brute_force_first_mismatch(netlist: &hwperm_logic::Netlist, expected: &[u64]) -> Option<u64> {
+fn brute_force_first_mismatch(netlist: &Netlist, expected: &[u64]) -> Option<u64> {
     let mut sim = Simulator::new(netlist.clone());
     (0u64..expected.len() as u64).find(|&i| {
         sim.set_input_u64("index", i);
@@ -49,9 +71,9 @@ fn brute_force_first_mismatch(netlist: &hwperm_logic::Netlist, expected: &[u64])
 }
 
 /// Swap every And for an Or (and vice versa), one gate at a time, and
-/// demand that the batched sweep returns the exact same verdict as the
-/// scalar sweep on each mutant — including which index and output the
-/// first mismatch is reported at. The batched path scans its 64-lane
+/// demand that every word-level sweep returns the exact same verdict as
+/// the scalar sweep on each mutant — including which index and output
+/// the first mismatch is reported at. The word-level path scans its
 /// difference words lowest-lane-first, so ties must break identically.
 #[test]
 fn first_mismatch_report_is_lane_exact_on_mutants() {
@@ -65,15 +87,14 @@ fn first_mismatch_report_is_lane_exact_on_mutants() {
             _ => continue,
         };
         let mutant = netlist.with_gate_replaced(i, swapped);
-        let batched = exhaustive_check_batched(&mutant, "index", "perm", &expected);
         let scalar = exhaustive_check_scalar(&mutant, "index", "perm", &expected);
-        assert_eq!(scalar, batched, "verdicts diverge on mutant of gate {i}");
-        if let Err(m) = batched {
+        assert_every_sweep(&mutant, &expected, &scalar, &format!("mutant of gate {i}"));
+        if let Err(m) = scalar {
             detected += 1;
             assert_eq!(
                 Some(m.index),
                 brute_force_first_mismatch(&mutant, &expected),
-                "gate {i}: batched sweep did not report the minimal index"
+                "gate {i}: the sweeps did not report the minimal index"
             );
             assert_eq!(m.port, "perm");
             assert_ne!(m.got, m.want);
@@ -86,9 +107,9 @@ fn first_mismatch_report_is_lane_exact_on_mutants() {
     );
 }
 
-/// A mismatch seeded in a specific lane of a specific batch: index 37
-/// lives in batch 0's lane 37 at n = 4 (24 indices — so use n = 5,
-/// 120 indices: batch 0 covers 0..64, batch 1 covers 64..120). Forcing
+/// A mismatch seeded in a specific lane of a specific batch: n = 5 has
+/// 120 indices, so the 64-lane sweep's batch 0 covers 0..64 and batch 1
+/// covers 64..120, while one W256 or W512 batch holds them all. Forcing
 /// the expectation wrong at one index must surface exactly that index.
 #[test]
 fn seeded_expectation_error_pinpoints_its_lane() {
@@ -96,9 +117,15 @@ fn seeded_expectation_error_pinpoints_its_lane() {
     for &bad in &[0u64, 37, 63, 64, 100, 119] {
         let mut expected = expected_permutation_words(5);
         expected[bad as usize] ^= 1; // poison one index's expectation
-        let err = exhaustive_check_batched(&netlist, "index", "perm", &expected)
+        let err = exhaustive_check_scalar(&netlist, "index", "perm", &expected)
             .expect_err("poisoned table must fail");
         assert_eq!(err.index, bad, "wrong index surfaced");
         assert_eq!(err.got, err.want ^ 1);
+        assert_every_sweep(
+            &netlist,
+            &expected,
+            &Err(err),
+            &format!("poisoned index {bad}"),
+        );
     }
 }

@@ -1,30 +1,39 @@
-//! Determinism parity of the sharded sweep against the sequential
-//! oracles, over the mutation suite.
+//! Determinism parity of the sharded sweep against the scalar
+//! reference, over the mutation suite.
 //!
-//! The deterministic-reporting guarantee in `hwperm_verify::parallel`
-//! says [`exhaustive_check_parallel`] returns *byte-identical* results
-//! to [`exhaustive_check_batched`] (and the scalar reference sweep) for
-//! every worker count. A clean netlist only exercises the `Ok` side of
-//! that claim, so this suite drives the interesting side with the same
-//! fault-injection population the circuits crate uses: every
+//! The deterministic-reporting guarantee in `hwperm_verify` says
+//! [`exhaustive_check_parallel_wide`] returns *byte-identical* results
+//! to the scalar reference sweep [`exhaustive_check_scalar`] at every
+//! lane width and worker count. A clean netlist only exercises the `Ok`
+//! side of that claim, so this suite drives the interesting side with
+//! the same fault-injection population the circuits crate uses: every
 //! fanin-preserving single-gate mutation of the Fig. 1 converter, each
 //! checked for identical verdict AND identical first-mismatch witness
-//! (index, port, got, want) at 1, 2, 3 and 8 workers — plus the same
-//! parity for the one-hot bank sweep and a property test over randomly
-//! corrupted expectation tables.
+//! (index, port, got, want) at `u64`/`W256`/`W512` × 1, 2, 3 and 8
+//! workers — plus the same parity for the one-hot bank sweep and a
+//! property test over randomly corrupted expectation tables.
 
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{Gate, Netlist};
+use hwperm_logic::{Gate, Netlist, W256, W512};
 use hwperm_verify::{
-    exhaustive_check_batched, exhaustive_check_parallel, exhaustive_check_scalar,
-    expected_permutation_words, find_one_hot_violation_batched, find_one_hot_violation_parallel,
+    exhaustive_check_parallel_wide, exhaustive_check_scalar, expected_permutation_words,
+    find_one_hot_violation_parallel, ExhaustiveMismatch,
 };
 use proptest::prelude::*;
 
-/// Worker counts the parity claims are pinned at: sequential-degenerate
-/// (1), even splits (2, 8) and an odd count (3) whose remainder lands on
-/// the leading shards.
+/// Worker counts the parity claims are pinned at: sequential (1), even
+/// splits (2, 8) and an odd count (3) whose remainder lands on the
+/// leading shards.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
+
+type Sweep = fn(&Netlist, &str, &str, &[u64], usize) -> Result<(), ExhaustiveMismatch>;
+
+/// The lane widths the parity claims are pinned at.
+const WIDTHS: [(&str, Sweep); 3] = [
+    ("u64", exhaustive_check_parallel_wide::<u64>),
+    ("W256", exhaustive_check_parallel_wide::<W256>),
+    ("W512", exhaustive_check_parallel_wide::<W512>),
+];
 
 /// A gate with the same fanin but a different function, if one exists —
 /// the same mutation operator as the circuits crate's fault-injection
@@ -60,13 +69,15 @@ fn parallel_first_mismatch_matches_sequential_on_every_mutant() {
     let netlist = converter_netlist(4, ConverterOptions::default());
     let expected = expected_permutation_words(4);
 
-    // Ok-side parity first: the pristine converter passes every oracle.
-    for workers in WORKER_COUNTS {
-        assert_eq!(
-            exhaustive_check_parallel(&netlist, "index", "perm", &expected, workers),
-            Ok(()),
-            "pristine netlist, {workers} workers"
-        );
+    // Ok-side parity first: the pristine converter passes every sweep.
+    for (width, sweep) in WIDTHS {
+        for workers in WORKER_COUNTS {
+            assert_eq!(
+                sweep(&netlist, "index", "perm", &expected, workers),
+                Ok(()),
+                "pristine netlist, {width}, {workers} workers"
+            );
+        }
     }
 
     let population = mutants(&netlist);
@@ -78,20 +89,17 @@ fn parallel_first_mismatch_matches_sequential_on_every_mutant() {
     let mut killed = 0usize;
     for (gate, mutant) in &population {
         let scalar = exhaustive_check_scalar(mutant, "index", "perm", &expected);
-        let batched = exhaustive_check_batched(mutant, "index", "perm", &expected);
-        assert_eq!(
-            scalar, batched,
-            "gate {gate}: scalar and batched oracles diverge"
-        );
-        if batched.is_err() {
+        if scalar.is_err() {
             killed += 1;
         }
-        for workers in WORKER_COUNTS {
-            let parallel = exhaustive_check_parallel(mutant, "index", "perm", &expected, workers);
-            assert_eq!(
-                parallel, batched,
-                "gate {gate}, {workers} workers: sharded sweep diverges from sequential"
-            );
+        for (width, sweep) in WIDTHS {
+            for workers in WORKER_COUNTS {
+                assert_eq!(
+                    sweep(mutant, "index", "perm", &expected, workers),
+                    scalar,
+                    "gate {gate}, {width}, {workers} workers: sharded sweep diverges from scalar"
+                );
+            }
         }
     }
     // The Err side must actually occur (the pristine check above covers
@@ -109,8 +117,8 @@ fn parallel_first_mismatch_matches_sequential_on_every_mutant() {
 fn one_hot_parallel_matches_sequential_on_every_mutant() {
     // The converter's one-hot MUX select banks are recorded in the
     // netlist; mutations inside the decoder cones break exactly-one for
-    // some swept input, and the parallel scan must report the identical
-    // lowest witness (or identical None) at every worker count.
+    // some swept input, and every worker count must report the one-worker
+    // scan's lowest witness (or its None).
     let netlist = converter_netlist(4, ConverterOptions::default());
     assert!(
         !netlist.one_hot_banks().is_empty(),
@@ -118,7 +126,7 @@ fn one_hot_parallel_matches_sequential_on_every_mutant() {
     );
     let mut violating = 0usize;
     for (gate, mutant) in &mutants(&netlist) {
-        let sequential = find_one_hot_violation_batched(mutant, "index");
+        let sequential = find_one_hot_violation_parallel(mutant, "index", 1);
         if sequential.is_some() {
             violating += 1;
         }
@@ -137,15 +145,15 @@ fn one_hot_parallel_matches_sequential_on_every_mutant() {
 }
 
 proptest! {
-    // Each case runs a scalar, a batched and a sharded exhaustive sweep
-    // over all 120 indices of the n = 5 converter, so modest case
-    // counts cover thousands of cross-checked vectors.
+    // Each case runs the scalar sweep and 15 sharded sweeps over all
+    // 120 indices of the n = 5 converter, so modest case counts cover
+    // thousands of cross-checked vectors.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomly corrupted expectation tables: whatever the lowest
     /// corrupted-and-detected index turns out to be (including none,
-    /// when xor pairs cancel), all three sweeps must report the exact
-    /// same result at an arbitrary worker count.
+    /// when xor pairs cancel), every sweep must report the scalar
+    /// result exactly, at every width and an arbitrary worker count.
     #[test]
     fn corrupted_tables_report_identically(
         corruptions in prop::collection::vec((0usize..120, 1u64..16), 0..6),
@@ -156,13 +164,12 @@ proptest! {
         for &(index, mask) in &corruptions {
             expected[index] ^= mask;
         }
-        let batched = exhaustive_check_batched(&netlist, "index", "perm", &expected);
         let scalar = exhaustive_check_scalar(&netlist, "index", "perm", &expected);
-        prop_assert_eq!(&scalar, &batched);
-        for workers in [1, workers] {
-            let parallel =
-                exhaustive_check_parallel(&netlist, "index", "perm", &expected, workers);
-            prop_assert_eq!(&parallel, &batched);
+        for (_, sweep) in WIDTHS {
+            for workers in [1, 2, 3, 8, workers] {
+                let sharded = sweep(&netlist, "index", "perm", &expected, workers);
+                prop_assert_eq!(&sharded, &scalar);
+            }
         }
     }
 }

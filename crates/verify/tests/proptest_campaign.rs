@@ -12,7 +12,8 @@ use hwperm_circuits::{
 use hwperm_logic::Netlist;
 use hwperm_perm::packed_is_permutation_u64;
 use hwperm_verify::{
-    expected_permutation_words, golden_output_words, stuck_at_campaign, stuck_at_campaign_scalar,
+    expected_permutation_words, golden_output_words, stuck_at_campaign_scalar,
+    stuck_at_campaign_wide,
 };
 use proptest::prelude::*;
 
@@ -70,10 +71,10 @@ proptest! {
             let (netlist, input, output) = family_ports(family, n);
             let expected = golden_output_words(&netlist, input, output);
             let baseline =
-                stuck_at_campaign(&netlist, input, output, &expected, None, 1);
+                stuck_at_campaign_wide::<u64>(&netlist, input, output, &expected, None, 1);
             for workers in [2usize, 3, 8] {
                 let report =
-                    stuck_at_campaign(&netlist, input, output, &expected, None, workers);
+                    stuck_at_campaign_wide::<u64>(&netlist, input, output, &expected, None, workers);
                 prop_assert_eq!(
                     &report.verdicts,
                     &baseline.verdicts,
@@ -101,10 +102,10 @@ proptest! {
         let (netlist, input, output) = family_ports("converter", n);
         let expected = expected_permutation_words(n);
         let valid = move |word: u64| packed_is_permutation_u64(n, word);
-        let baseline = stuck_at_campaign(&netlist, input, output, &expected, Some(&valid), 1);
+        let baseline = stuck_at_campaign_wide::<u64>(&netlist, input, output, &expected, Some(&valid), 1);
         for workers in [2usize, 3, 8] {
             let report =
-                stuck_at_campaign(&netlist, input, output, &expected, Some(&valid), workers);
+                stuck_at_campaign_wide::<u64>(&netlist, input, output, &expected, Some(&valid), workers);
             prop_assert_eq!(
                 &report.verdicts,
                 &baseline.verdicts,
