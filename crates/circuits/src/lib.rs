@@ -19,11 +19,13 @@
 //! [`hwperm_perm::Permutation`]s across the boundary, and exposes
 //! [`hwperm_logic::ResourceReport`] for the Tables III/IV experiments.
 //! All of them are differentially tested against the software references
-//! in `hwperm-factoradic` / `hwperm-perm`.
+//! in `hwperm-factoradic` / `hwperm-perm`. [`families`] names every
+//! generated netlist family and builds each one at size `n`.
 
 mod cascade;
 mod combination;
 mod converter;
+mod family;
 mod random_index;
 mod rank_circuit;
 mod shuffle;
@@ -33,6 +35,7 @@ mod variation;
 pub use cascade::LutCascadeConverter;
 pub use combination::IndexToCombinationConverter;
 pub use converter::{converter_netlist, ConverterOptions, IndexToPermConverter};
+pub use family::{families, family, sweep_ports, Family};
 pub use random_index::{RandomIndexGenerator, RandomIndexModel};
 pub use rank_circuit::PermToIndexConverter;
 pub use shuffle::{shuffle_netlist, KnuthShuffleCircuit, KnuthShuffleModel, ShuffleOptions};

@@ -3,64 +3,13 @@
 //! batched run must be indistinguishable from a scalar run fed lane
 //! `l`'s input vector (or input *sequence*, for the registered
 //! families) — whether the word carries 64 (`u64`), 256 (`W256`) or
-//! 512 (`W512`) lanes. Covers every family the lint driver knows,
+//! 512 (`W512`) lanes. Covers every registered circuit family,
 //! combinational and sequential alike.
 
 use hwperm_bignum::Ubig;
-use hwperm_circuits::{
-    converter_netlist, shuffle_netlist, ConverterOptions, IndexToCombinationConverter,
-    IndexToVariationConverter, PermToIndexConverter, RandomIndexGenerator, ShuffleOptions,
-    SortingNetwork,
-};
+use hwperm_circuits::{converter_netlist, families, ConverterOptions};
 use hwperm_logic::{BatchSim, Netlist, SimWord, Simulator, W256, W512};
 use proptest::prelude::*;
-
-/// Every circuit family `hwperm lint all` covers, mirrored here so the
-/// lane-equivalence property is pinned to the same nine netlists the
-/// static passes gate.
-const FAMILIES: [&str; 9] = [
-    "converter",
-    "converter-pipelined",
-    "shuffle",
-    "shuffle-pipelined",
-    "rank",
-    "combination",
-    "variation",
-    "sort",
-    "random-index",
-];
-
-/// Same derived defaults as the CLI's lint driver: combination and
-/// variation take k = ⌈n/2⌉, sorter keys are wide enough for n distinct
-/// values.
-fn family_netlist(family: &str, n: usize) -> Netlist {
-    let k = n.div_ceil(2);
-    let key_width = (usize::BITS as usize - (n - 1).leading_zeros() as usize).max(2);
-    match family {
-        "converter" => converter_netlist(n, ConverterOptions::default()),
-        "converter-pipelined" => converter_netlist(
-            n,
-            ConverterOptions {
-                pipelined: true,
-                perm_input_port: false,
-            },
-        ),
-        "shuffle" => shuffle_netlist(n, ShuffleOptions::default()),
-        "shuffle-pipelined" => shuffle_netlist(
-            n,
-            ShuffleOptions {
-                pipelined: true,
-                ..ShuffleOptions::default()
-            },
-        ),
-        "rank" => PermToIndexConverter::new(n).netlist().clone(),
-        "combination" => IndexToCombinationConverter::new(n, k).netlist().clone(),
-        "variation" => IndexToVariationConverter::new(n, k).netlist().clone(),
-        "sort" => SortingNetwork::new(n, key_width).netlist().clone(),
-        "random-index" => RandomIndexGenerator::new(n, 0x5eed).netlist().clone(),
-        other => panic!("unknown family {other:?}"),
-    }
-}
 
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -226,12 +175,12 @@ proptest! {
     // counts already cover thousands of vectors per family.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Lane equivalence across all nine lint families, dispatching on
+    /// Lane equivalence across every registered family, dispatching on
     /// whether the family's netlist holds registered state.
     #[test]
     fn all_families_lane_equivalent(n in 3usize..=5, seed in any::<u64>()) {
-        for family in FAMILIES {
-            let netlist = family_netlist(family, n);
+        for family in families() {
+            let (family, netlist) = (family.name, (family.build)(n));
             if netlist.register_count() == 0 {
                 assert_eval_lane_equivalent::<u64>(family, &netlist, seed);
             } else {
@@ -240,7 +189,7 @@ proptest! {
         }
     }
 
-    /// The same nine-family property at the wide widths: every one of
+    /// The same property for every family at the wide widths: each of
     /// the 256 / 512 lanes must match its scalar replay (comb and
     /// multi-cycle step alike), and the first 64 lanes must be
     /// bit-identical to a `u64` run fed the same inputs. Fewer cases
@@ -248,8 +197,8 @@ proptest! {
     /// simulations per family.
     #[test]
     fn all_families_lane_equivalent_wide(n in 3usize..=4, seed in any::<u64>()) {
-        for family in FAMILIES {
-            let netlist = family_netlist(family, n);
+        for family in families() {
+            let (family, netlist) = (family.name, (family.build)(n));
             if netlist.register_count() == 0 {
                 assert_eval_lane_equivalent::<W256>(family, &netlist, seed);
                 assert_eval_lane_equivalent::<W512>(family, &netlist, seed);

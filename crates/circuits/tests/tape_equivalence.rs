@@ -4,20 +4,16 @@
 //! netlist walk with a levelized `SimProgram` opcode stream. This suite
 //! pins the refactor to the *pre-refactor* semantics: `ReferenceSim`
 //! below is a verbatim replica of the old `Simulator` (creation-order
-//! gate walk, separate DFF state array), and every one of the nine
-//! circuit families must produce identical outputs through the
+//! gate walk, separate DFF state array), and every registered circuit
+//! family must produce identical outputs through the
 //! tape-backed scalar and 64-lane batched paths — exhaustively for the
 //! converter at n = 4..6 (cross-checked against software unranking as
 //! an independent golden), property-tested elsewhere, including
 //! multi-cycle `step` schedules through the pipelined converters.
 
 use hwperm_bignum::Ubig;
-use hwperm_circuits::{
-    converter_netlist, shuffle_netlist, ConverterOptions, IndexToCombinationConverter,
-    IndexToVariationConverter, PermToIndexConverter, RandomIndexGenerator, ShuffleOptions,
-    SortingNetwork,
-};
-use hwperm_logic::{BatchSimulator, Gate, Netlist, Simulator, LANES};
+use hwperm_circuits::{converter_netlist, families, ConverterOptions};
+use hwperm_logic::{BatchSim, Gate, Netlist, Simulator, LANES};
 use hwperm_verify::expected_permutation_words;
 use proptest::prelude::*;
 
@@ -105,49 +101,6 @@ impl ReferenceSim {
     }
 }
 
-/// Every circuit family `hwperm lint all` covers.
-const FAMILIES: [&str; 9] = [
-    "converter",
-    "converter-pipelined",
-    "shuffle",
-    "shuffle-pipelined",
-    "rank",
-    "combination",
-    "variation",
-    "sort",
-    "random-index",
-];
-
-/// Same derived defaults as the CLI's lint driver.
-fn family_netlist(family: &str, n: usize) -> Netlist {
-    let k = n.div_ceil(2);
-    let key_width = (usize::BITS as usize - (n - 1).leading_zeros() as usize).max(2);
-    match family {
-        "converter" => converter_netlist(n, ConverterOptions::default()),
-        "converter-pipelined" => converter_netlist(
-            n,
-            ConverterOptions {
-                pipelined: true,
-                perm_input_port: false,
-            },
-        ),
-        "shuffle" => shuffle_netlist(n, ShuffleOptions::default()),
-        "shuffle-pipelined" => shuffle_netlist(
-            n,
-            ShuffleOptions {
-                pipelined: true,
-                ..ShuffleOptions::default()
-            },
-        ),
-        "rank" => PermToIndexConverter::new(n).netlist().clone(),
-        "combination" => IndexToCombinationConverter::new(n, k).netlist().clone(),
-        "variation" => IndexToVariationConverter::new(n, k).netlist().clone(),
-        "sort" => SortingNetwork::new(n, key_width).netlist().clone(),
-        "random-index" => RandomIndexGenerator::new(n, 0x5eed).netlist().clone(),
-        other => panic!("unknown family {other:?}"),
-    }
-}
-
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
     *s ^= *s >> 7;
@@ -196,7 +149,7 @@ fn assert_schedule_matches_reference(family: &str, netlist: &Netlist, cycles: us
         .map(|_| random_cycle(netlist, &mut rng))
         .collect();
 
-    let mut batch = BatchSimulator::new(netlist.clone());
+    let mut batch = BatchSim::<u64>::new(netlist.clone());
     let mut snapshots: Vec<Vec<Vec<Ubig>>> = Vec::with_capacity(cycles);
     for cycle in &schedule {
         for (name, lanes) in cycle {
@@ -259,7 +212,7 @@ fn assert_converter_exhaustive(n: usize) {
     let golden_words = expected_permutation_words(n);
     let mut golden = ReferenceSim::new(netlist.clone());
     let mut tape = Simulator::new(netlist.clone());
-    let mut batch = BatchSimulator::new(netlist.clone());
+    let mut batch = BatchSim::<u64>::new(netlist.clone());
     let total = golden_words.len();
     let mut base = 0usize;
     while base < total {
@@ -307,16 +260,16 @@ proptest! {
     // vectors per family.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// All nine families: tape-backed scalar and batched runs equal the
+    /// Every family: tape-backed scalar and batched runs equal the
     /// pre-refactor reference walk. Combinational families get a
     /// 1-cycle schedule (step on a register-free netlist is just eval);
     /// registered families get a real multi-cycle schedule.
     #[test]
     fn all_families_match_pre_refactor_golden(n in 3usize..=5, seed in any::<u64>()) {
-        for family in FAMILIES {
-            let netlist = family_netlist(family, n);
+        for family in families() {
+            let netlist = (family.build)(n);
             let cycles = if netlist.register_count() == 0 { 1 } else { 4 };
-            assert_schedule_matches_reference(family, &netlist, cycles, seed);
+            assert_schedule_matches_reference(family.name, &netlist, cycles, seed);
         }
     }
 

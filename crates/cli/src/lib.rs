@@ -9,15 +9,15 @@
 
 use hwperm_bignum::Ubig;
 use hwperm_circuits::{
-    converter_netlist, shuffle_netlist, ConverterOptions, IndexToPermConverter,
-    KnuthShuffleCircuit, PermToIndexConverter, ShuffleOptions, SortingNetwork,
+    converter_netlist, families, sweep_ports, ConverterOptions, Family, IndexToPermConverter,
+    KnuthShuffleCircuit, SortingNetwork,
 };
 use hwperm_core::{CircuitRandomSource, RandomPermSource, SoftwareRandomSource};
 use hwperm_factoradic::{
     rank, rank_combination, rank_variation, unrank, unrank_combination, unrank_variation,
     IndexedPermutations,
 };
-use hwperm_logic::{ResourceReport, SimProgram, W256, W512};
+use hwperm_logic::{Netlist, ResourceReport, SimProgram, W256, W512};
 use hwperm_perm::Permutation;
 use hwperm_rng::BiasReport;
 use hwperm_store::TableSource;
@@ -57,7 +57,9 @@ usage: hwperm <command> [args]
   all <n> [start] [end]          list permutations by index range
   resources <circuit> <n>        LUT/ALM/register estimate
                                  (circuit: converter | converter-pipelined |
-                                  shuffle | rank)
+                                  shuffle | shuffle-pipelined | rank |
+                                  combination | variation | sort |
+                                  random-index)
   lint <circuit|all> <n> [--json]  static analysis of a generated netlist
                                  (circuit: converter | converter-pipelined |
                                   shuffle | shuffle-pipelined | rank |
@@ -120,6 +122,9 @@ usage: hwperm <command> [args]
                                   byte-identical words, identical
                                   witnesses)
   verilog <circuit> <n>          emit synthesizable structural Verilog
+                                 (circuit: as for resources; the module
+                                  is named <module>_<n>, e.g.
+                                  index_to_perm_4 for converter 4)
   serve <addr> [--workers N] [--chunk N] [--store D] [--max-conns N]
         [--idle-timeout-ms T] [--request-deadline-ms T]
                                  permutation-as-a-service: long-running
@@ -175,80 +180,9 @@ usage: hwperm <command> [args]
   help                           this text
 ";
 
-/// Every circuit family `hwperm lint all` covers.
-const LINT_FAMILIES: [&str; 9] = [
-    "converter",
-    "converter-pipelined",
-    "shuffle",
-    "shuffle-pipelined",
-    "rank",
-    "combination",
-    "variation",
-    "sort",
-    "random-index",
-];
-
-/// Builds the named family's netlist at size `n` for linting. Families
-/// with extra parameters use derived defaults: combination/variation
-/// take k = ⌈n/2⌉, the sorter keys are wide enough to hold n distinct
-/// values.
-fn lint_family_netlist(family: &str, n: usize) -> Result<hwperm_logic::Netlist, CliError> {
-    use hwperm_circuits::{
-        IndexToCombinationConverter, IndexToVariationConverter, RandomIndexGenerator,
-    };
-    let k = n.div_ceil(2);
-    let key_width = usize::BITS as usize - (n - 1).leading_zeros() as usize;
-    Ok(match family {
-        "converter" => converter_netlist(n, ConverterOptions::default()),
-        "converter-pipelined" => converter_netlist(
-            n,
-            ConverterOptions {
-                pipelined: true,
-                perm_input_port: false,
-            },
-        ),
-        "shuffle" => shuffle_netlist(n, ShuffleOptions::default()),
-        "shuffle-pipelined" => shuffle_netlist(
-            n,
-            ShuffleOptions {
-                pipelined: true,
-                ..ShuffleOptions::default()
-            },
-        ),
-        "rank" => PermToIndexConverter::new(n).netlist().clone(),
-        "combination" => IndexToCombinationConverter::new(n, k).netlist().clone(),
-        "variation" => IndexToVariationConverter::new(n, k).netlist().clone(),
-        "sort" => SortingNetwork::new(n, key_width.max(2)).netlist().clone(),
-        "random-index" => RandomIndexGenerator::new(n, 0x5eed).netlist().clone(),
-        other => return Err(err(format!("unknown circuit {other:?}"))),
-    })
-}
-
-/// The range contract of a family's index input port — `(port, bound)`
-/// such that the environment only ever drives `port < bound` — or
-/// `None` for families without one (or whose bound overflows `u64`).
-/// Feeds the lint `range-dont-care` pass.
-fn lint_family_range(family: &str, n: usize) -> Option<(&'static str, u64)> {
-    let k = n.div_ceil(2);
-    match family {
-        "converter" | "converter-pipelined" => {
-            Ubig::factorial(n as u64).to_u64().map(|b| ("index", b))
-        }
-        "combination" => hwperm_factoradic::binomial(n as u64, k as u64)
-            .to_u64()
-            .map(|b| ("index", b)),
-        "variation" => hwperm_factoradic::falling_factorial(n as u64, k as u64)
-            .to_u64()
-            .map(|b| ("index", b)),
-        _ => None,
-    }
-}
-
-/// Every circuit family `hwperm faults` can campaign over: purely
-/// combinational, one input port, one output port.
-const CAMPAIGN_FAMILIES: [&str; 5] = ["converter", "rank", "combination", "variation", "sort"];
-
-/// Every proof obligation family `hwperm prove all` discharges.
+/// Every registered family `hwperm prove` has an obligation for. The
+/// obligations and their oracles live in `hwperm-verify`, so this list
+/// stays here rather than in the circuit registry.
 const PROVE_FAMILIES: [&str; 5] = [
     "converter",
     "converter-pipelined",
@@ -256,6 +190,28 @@ const PROVE_FAMILIES: [&str; 5] = [
     "combination",
     "variation",
 ];
+
+/// The registered circuit family called `name`; an unknown name is a
+/// user error.
+fn circuit(name: &str) -> Result<&'static Family, CliError> {
+    hwperm_circuits::family(name).ok_or_else(|| err(format!("unknown circuit {name:?}")))
+}
+
+/// Builds the registered family `name` at size `n`.
+fn build(name: &str, n: usize) -> Netlist {
+    (hwperm_circuits::family(name)
+        .expect("a registered family")
+        .build)(n)
+}
+
+/// Renders the family choices of a usage error: `a | b | … | all`.
+fn choices<'a>(names: impl IntoIterator<Item = &'a str>) -> String {
+    names
+        .into_iter()
+        .chain(["all"])
+        .collect::<Vec<_>>()
+        .join(" | ")
+}
 
 /// Discharges the named family's proof obligation at size `n`,
 /// returning the obligation's description and the solver's verdict.
@@ -267,13 +223,13 @@ fn prove_family(
     n: usize,
     store: Option<&Path>,
 ) -> Result<(&'static str, hwperm_verify::ProveOutcome), CliError> {
-    use hwperm_circuits::{IndexToCombinationConverter, IndexToVariationConverter};
+    // The registry builds combination and variation at k = ⌈n/2⌉.
     let k = n.div_ceil(2);
     let factorial: u64 = (1..=n as u64).product();
     let fail = |e: hwperm_verify::VerifyError| err(format!("{family}: invalid obligation: {e}"));
+    let netlist = build(family, n);
     match family {
         "converter" => {
-            let netlist = converter_netlist(n, ConverterOptions::default());
             let source = match store {
                 Some(dir) => TableSource::Store {
                     dir: dir.to_path_buf(),
@@ -288,17 +244,9 @@ fn prove_family(
             Ok(("table conformance vs block-decoded oracle", out))
         }
         "converter-pipelined" => {
-            let pipe = converter_netlist(
-                n,
-                ConverterOptions {
-                    pipelined: true,
-                    perm_input_port: false,
-                },
-            );
-            let comb = converter_netlist(n, ConverterOptions::default());
             let out = hwperm_verify::prove_pipelined_equivalent(
-                &pipe,
-                &comb,
+                &netlist,
+                &build("converter", n),
                 "index",
                 "perm",
                 n - 1,
@@ -309,32 +257,26 @@ fn prove_family(
             Ok(("k-step unrolling vs combinational twin", out))
         }
         "rank" => {
-            let conv = converter_netlist(n, ConverterOptions::default());
-            let rank = PermToIndexConverter::new(n).netlist().clone();
+            let conv = build("converter", n);
             let out = hwperm_verify::prove_inverse_identity(
-                &conv, "index", "perm", &rank, "perm", "index", factorial, None,
+                &conv, "index", "perm", &netlist, "perm", "index", factorial, None,
             )
             .map_err(fail)?;
             Ok(("rank ∘ unrank identity over all indices", out))
         }
         "combination" => {
-            let netlist = IndexToCombinationConverter::new(n, k).netlist().clone();
             let expected = hwperm_verify::expected_combination_words(n, k);
             let out = hwperm_verify::prove_against_table(&netlist, "index", "codeword", &expected)
                 .map_err(fail)?;
             Ok(("table conformance vs software unranker", out))
         }
         "variation" => {
-            let netlist = IndexToVariationConverter::new(n, k).netlist().clone();
             let expected = hwperm_verify::expected_variation_words(n, k);
             let out = hwperm_verify::prove_against_table(&netlist, "index", "out", &expected)
                 .map_err(fail)?;
             Ok(("table conformance vs software unranker", out))
         }
-        other => Err(err(format!(
-            "unknown prove family {other:?} (families: converter | converter-pipelined | \
-             rank | combination | variation | all)"
-        ))),
+        other => unreachable!("{other:?} is not in PROVE_FAMILIES"),
     }
 }
 
@@ -349,52 +291,6 @@ fn json_envelope(command: &str, errors: usize, results: &str) -> String {
          \"results\":[{results}]}}\n",
         env!("CARGO_PKG_VERSION"),
     )
-}
-
-/// Builds the named family's netlist at size `n` plus its (input,
-/// output) port pair for a fault campaign. Derived parameters match
-/// [`lint_family_netlist`]: combination/variation take k = ⌈n/2⌉, the
-/// sorter keys are wide enough to hold n distinct values.
-fn campaign_family_netlist(
-    family: &str,
-    n: usize,
-) -> Result<(hwperm_logic::Netlist, &'static str, &'static str), CliError> {
-    use hwperm_circuits::{IndexToCombinationConverter, IndexToVariationConverter};
-    let k = n.div_ceil(2);
-    let key_width = (usize::BITS as usize - (n - 1).leading_zeros() as usize).max(2);
-    Ok(match family {
-        "converter" => (
-            converter_netlist(n, ConverterOptions::default()),
-            "index",
-            "perm",
-        ),
-        "rank" => (
-            PermToIndexConverter::new(n).netlist().clone(),
-            "perm",
-            "index",
-        ),
-        "combination" => (
-            IndexToCombinationConverter::new(n, k).netlist().clone(),
-            "index",
-            "codeword",
-        ),
-        "variation" => (
-            IndexToVariationConverter::new(n, k).netlist().clone(),
-            "index",
-            "out",
-        ),
-        "sort" => (
-            SortingNetwork::new(n, key_width).netlist().clone(),
-            "data",
-            "sorted",
-        ),
-        other => {
-            return Err(err(format!(
-                "unknown campaign family {other:?} (families: converter | rank | \
-                 combination | variation | sort | all)"
-            )))
-        }
-    })
 }
 
 fn parse_usize(s: &str, what: &str) -> Result<usize, CliError> {
@@ -423,7 +319,7 @@ const DEFAULT_WIDTH: usize = 512;
 /// Renders [`TapeStats`](hwperm_logic::TapeStats) for a fused compile
 /// of `netlist` as a JSON object — the `"tape"` field of each
 /// `lint --json` result row.
-fn tape_stats_json(netlist: hwperm_logic::Netlist) -> String {
+fn tape_stats_json(netlist: Netlist) -> String {
     let stats = SimProgram::compile_fused(netlist).stats();
     let op_counts = stats
         .op_counts
@@ -583,28 +479,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "resources" => {
-            let [circuit, n] = rest else {
+            let [name, n] = rest else {
                 return Err(err("usage: hwperm resources <circuit> <n>"));
             };
             let n = parse_usize(n, "n")?;
             if n < 2 {
                 return Err(err("circuits require n >= 2"));
             }
-            let report = match circuit.as_str() {
-                "converter" => {
-                    ResourceReport::of(&converter_netlist(n, ConverterOptions::default()))
-                }
-                "converter-pipelined" => ResourceReport::of(&converter_netlist(
-                    n,
-                    ConverterOptions {
-                        pipelined: true,
-                        perm_input_port: false,
-                    },
-                )),
-                "shuffle" => ResourceReport::of(&shuffle_netlist(n, ShuffleOptions::default())),
-                "rank" => PermToIndexConverter::new(n).report(),
-                other => return Err(err(format!("unknown circuit {other:?}"))),
-            };
+            let report = ResourceReport::of(&(circuit(name)?.build)(n));
             Ok(format!("{report}\n"))
         }
         "lint" => {
@@ -615,25 +497,25 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     rest.iter().filter(|a| *a != "--json").collect(),
                 )
             };
-            let [circuit, n] = rest.as_slice() else {
+            let [name, n] = rest.as_slice() else {
                 return Err(err("usage: hwperm lint <circuit|all> <n> [--json]"));
             };
             let n = parse_usize(n, "n")?;
             if n < 2 {
                 return Err(err("circuits require n >= 2"));
             }
-            let families: Vec<&str> = if circuit.as_str() == "all" {
-                LINT_FAMILIES.to_vec()
+            let chosen: Vec<&Family> = if name.as_str() == "all" {
+                families().iter().collect()
             } else {
-                vec![circuit.as_str()]
+                vec![circuit(name)?]
             };
             let mut out = String::new();
             let mut errors = 0usize;
-            for (i, family) in families.iter().enumerate() {
-                let netlist = lint_family_netlist(family, n)?;
+            for (i, family) in chosen.iter().enumerate() {
+                let netlist = (family.build)(n);
                 let mut config = hwperm_lint::LintConfig::new();
-                if let Some((port, bound)) = lint_family_range(family, n) {
-                    config = config.with_range_bound(port, bound);
+                if let Some(bound) = family.index_bound.and_then(|bound| bound(n).to_u64()) {
+                    config = config.with_range_bound("index", bound);
                 }
                 let report = hwperm_lint::lint_netlist_with(&netlist, &config);
                 errors += report.error_count();
@@ -642,12 +524,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         out.push(',');
                     }
                     out.push_str(&format!(
-                        "{{\"circuit\":\"{family}\",\"n\":{n},\"tape\":{},\"report\":{}}}",
+                        "{{\"circuit\":\"{}\",\"n\":{n},\"tape\":{},\"report\":{}}}",
+                        family.name,
                         tape_stats_json(netlist),
                         report.to_json()
                     ));
                 } else {
-                    out.push_str(&format!("== {family} (n = {n}) ==\n{report}"));
+                    out.push_str(&format!("== {} (n = {n}) ==\n{report}", family.name));
                 }
             }
             if json {
@@ -711,37 +594,25 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             ))
         }
         "verilog" => {
-            let [circuit, n] = rest else {
-                return Err(err(
-                    "usage: hwperm verilog <circuit> <n>  (circuit: converter | converter-pipelined | shuffle)",
-                ));
+            let [name, n] = rest else {
+                return Err(err(format!(
+                    "usage: hwperm verilog <circuit> <n>  (circuit: {})",
+                    families()
+                        .iter()
+                        .map(|f| f.name)
+                        .collect::<Vec<_>>()
+                        .join(" | ")
+                )));
             };
             let n = parse_usize(n, "n")?;
             if n < 2 {
                 return Err(err("circuits require n >= 2"));
             }
-            let (netlist, name) = match circuit.as_str() {
-                "converter" => (
-                    converter_netlist(n, ConverterOptions::default()),
-                    format!("index_to_perm_{n}"),
-                ),
-                "converter-pipelined" => (
-                    converter_netlist(
-                        n,
-                        ConverterOptions {
-                            pipelined: true,
-                            perm_input_port: false,
-                        },
-                    ),
-                    format!("index_to_perm_pipe_{n}"),
-                ),
-                "shuffle" => (
-                    shuffle_netlist(n, ShuffleOptions::default()),
-                    format!("knuth_shuffle_{n}"),
-                ),
-                other => return Err(err(format!("unknown circuit {other:?}"))),
-            };
-            Ok(hwperm_logic::to_verilog(&netlist, &name))
+            let family = circuit(name)?;
+            Ok(hwperm_logic::to_verilog(
+                &(family.build)(n),
+                &format!("{}_{n}", family.module),
+            ))
         }
         "serve" => {
             const SERVE_USAGE: &str = "usage: hwperm serve <addr> [--workers N] [--chunk N] \
@@ -1116,20 +987,24 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     "fault campaigns sweep every fault against every input; n must be 2..=5",
                 ));
             }
-            let families: Vec<&str> = match family.map(|s| s.as_str()) {
-                None => vec!["converter"],
-                Some("all") => CAMPAIGN_FAMILIES.to_vec(),
-                Some(f) if CAMPAIGN_FAMILIES.contains(&f) => vec![f],
-                Some(other) => {
-                    return Err(err(format!(
-                        "unknown campaign family {other:?} (families: converter | rank | \
-                         combination | variation | sort | all)"
-                    )))
-                }
-            };
+            // A family can be campaigned when its netlist is purely
+            // combinational with one input and one output port.
+            let mut campaign: Vec<(&str, Netlist)> = families()
+                .iter()
+                .map(|f| (f.name, (f.build)(n)))
+                .filter(|(_, netlist)| sweep_ports(netlist).is_some())
+                .collect();
+            let names = choices(campaign.iter().map(|(name, _)| *name));
+            let wanted = family.map_or("converter", |f| f.as_str());
+            campaign.retain(|(name, _)| wanted == "all" || *name == wanted);
+            if campaign.is_empty() {
+                return Err(err(format!(
+                    "unknown campaign family {wanted:?} (families: {names})"
+                )));
+            }
             let mut out = String::new();
-            for (i, fam) in families.iter().enumerate() {
-                let (netlist, input, output) = campaign_family_netlist(fam, n)?;
+            for (i, (fam, netlist)) in campaign.iter().enumerate() {
+                let (input, output) = sweep_ports(netlist).expect("a campaign family");
                 // The converter checks against the independent
                 // block-decoded oracle plus the packed-permutation
                 // validity guard; the other families self-golden
@@ -1139,13 +1014,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let run =
                     |expected: &[u64], valid: Option<&(dyn Fn(u64) -> bool + Sync)>| match width {
                         64 => hwperm_verify::stuck_at_campaign_wide::<u64>(
-                            &netlist, input, output, expected, valid, jobs,
+                            netlist, input, output, expected, valid, jobs,
                         ),
                         256 => hwperm_verify::stuck_at_campaign_wide::<W256>(
-                            &netlist, input, output, expected, valid, jobs,
+                            netlist, input, output, expected, valid, jobs,
                         ),
                         _ => hwperm_verify::stuck_at_campaign_wide::<W512>(
-                            &netlist, input, output, expected, valid, jobs,
+                            netlist, input, output, expected, valid, jobs,
                         ),
                     };
                 let report = if *fam == "converter" {
@@ -1153,7 +1028,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     let valid = move |word: u64| hwperm_perm::packed_is_permutation_u64(n, word);
                     run(&expected, Some(&valid))
                 } else {
-                    let golden = hwperm_verify::golden_output_words(&netlist, input, output);
+                    let golden = hwperm_verify::golden_output_words(netlist, input, output);
                     run(&golden, None)
                 };
                 let silent: Vec<(String, u64)> = report
@@ -1264,8 +1139,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 Some(f) if PROVE_FAMILIES.contains(&f) => vec![f],
                 Some(other) => {
                     return Err(err(format!(
-                        "unknown prove family {other:?} (families: converter | \
-                         converter-pipelined | rank | combination | variation | all)"
+                        "unknown prove family {other:?} (families: {})",
+                        choices(PROVE_FAMILIES)
                     )))
                 }
             };
@@ -1371,7 +1246,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                             out.push_str(&format!(
                                 "{{\"circuit\":\"{fam}\",\"n\":{n},\
                                  \"verdict\":\"invalid\",\"error\":\"{}\"}}",
-                                e.0.replace('"', "\\\"")
+                                hwperm_serve::json::escape(&e.0)
                             ));
                         } else {
                             out.push_str(&format!("== {fam} (n = {n}) ==\ninvalid: {e}\n"));
@@ -1603,9 +1478,9 @@ mod tests {
 
     #[test]
     fn resources_reports() {
-        for circuit in ["converter", "converter-pipelined", "shuffle", "rank"] {
-            let out = call(&["resources", circuit, "5"]).unwrap();
-            assert!(out.contains("LUTs"), "{circuit}: {out}");
+        for family in families() {
+            let out = call(&["resources", family.name, "5"]).unwrap();
+            assert!(out.contains("LUTs"), "{}: {out}", family.name);
         }
         assert!(call(&["resources", "nonsense", "5"]).is_err());
     }
@@ -1704,14 +1579,6 @@ mod tests {
     }
 
     #[test]
-    fn faults_all_sweeps_every_campaign_family() {
-        let out = call(&["faults", "3", "--family", "all", "--jobs", "2"]).unwrap();
-        for family in CAMPAIGN_FAMILIES {
-            assert!(out.contains(&format!("== {family} (n = 3) ==")), "{out}");
-        }
-    }
-
-    #[test]
     fn faults_results_identical_across_worker_counts() {
         let one = call(&["faults", "4", "--jobs", "1"]).unwrap();
         for workers in ["2", "3", "8"] {
@@ -1781,6 +1648,8 @@ mod tests {
         assert!(out.contains("endmodule"));
         let pipe = call(&["verilog", "converter-pipelined", "4"]).unwrap();
         assert!(pipe.contains("always @(posedge clk)"));
+        let rank = call(&["verilog", "rank", "4"]).unwrap();
+        assert!(rank.contains("module perm_to_index_4("));
         assert!(call(&["verilog", "bogus", "4"]).is_err());
     }
 
@@ -1789,14 +1658,6 @@ mod tests {
         let out = call(&["lint", "converter", "4"]).unwrap();
         assert!(out.contains("== converter (n = 4) =="), "{out}");
         assert!(out.contains("0 error(s)"), "{out}");
-    }
-
-    #[test]
-    fn lint_all_sweeps_every_family() {
-        let out = call(&["lint", "all", "3"]).unwrap();
-        for family in LINT_FAMILIES {
-            assert!(out.contains(&format!("== {family} (n = 3) ==")), "{out}");
-        }
     }
 
     #[test]
@@ -1855,14 +1716,59 @@ mod tests {
         assert!(out.contains("proved (vars "), "{out}");
     }
 
+    /// Which obligations each registered family carries: lint, fault
+    /// campaign, SAT proof. A cell is `covered` or says why it does not
+    /// apply, and each sweep below prints a header for exactly the
+    /// covered cells, so a family that changes shape fails here instead
+    /// of silently dropping out of a sweep.
     #[test]
-    fn prove_all_discharges_every_family() {
-        let out = call(&["prove", "4", "--family", "all", "--jobs", "2"]).unwrap();
-        for family in PROVE_FAMILIES {
-            assert!(out.contains(&format!("== {family} (n = 4) ==")), "{out}");
+    fn obligation_matrix() {
+        const COVERED: &str = "covered";
+        const SEQUENTIAL: &str = "n/a: sequential; campaigns sweep a stateless tape";
+        const RANDOM: &str = "n/a: random output, no proof oracle";
+        const NO_OBLIGATION: &str = "n/a: no proof obligation in hwperm-verify";
+        let matrix: [(&str, [&str; 3]); 9] = [
+            // family: [lint, campaign, prove]
+            ("converter", [COVERED, COVERED, COVERED]),
+            ("converter-pipelined", [COVERED, SEQUENTIAL, COVERED]),
+            ("shuffle", [COVERED, SEQUENTIAL, RANDOM]),
+            ("shuffle-pipelined", [COVERED, SEQUENTIAL, RANDOM]),
+            ("rank", [COVERED, COVERED, COVERED]),
+            ("combination", [COVERED, COVERED, COVERED]),
+            ("variation", [COVERED, COVERED, COVERED]),
+            ("sort", [COVERED, COVERED, NO_OBLIGATION]),
+            ("random-index", [COVERED, SEQUENTIAL, RANDOM]),
+        ];
+        let names: Vec<&str> = families().iter().map(|f| f.name).collect();
+        assert_eq!(matrix.map(|(family, _)| family).to_vec(), names);
+        let sweeps = [
+            call(&["lint", "all", "3"]).unwrap(),
+            call(&["faults", "3", "--family", "all"]).unwrap(),
+            call(&["prove", "4", "--family", "all", "--jobs", "2"]).unwrap(),
+        ];
+        for (column, out) in sweeps.iter().enumerate() {
+            let covered: Vec<&str> = matrix
+                .iter()
+                .filter(|(_, cells)| cells[column] == COVERED)
+                .map(|(family, _)| *family)
+                .collect();
+            let printed: Vec<&str> = out
+                .lines()
+                .filter_map(|line| Some(line.strip_prefix("== ")?.split_once(" (n = ")?.0))
+                .collect();
+            assert_eq!(printed, covered, "column {column}:\n{out}");
         }
-        assert!(!out.contains("REFUTED"), "{out}");
-        assert!(!out.contains("unknown"), "{out}");
+        for (family, cells) in matrix {
+            let gap = cells
+                .iter()
+                .find(|c| **c != COVERED && !c.starts_with("n/a: "));
+            assert_eq!(
+                gap, None,
+                "{family}: a cell is covered or n/a with a reason"
+            );
+        }
+        assert!(!sweeps[2].contains("REFUTED"), "{}", sweeps[2]);
+        assert!(!sweeps[2].contains("unknown"), "{}", sweeps[2]);
     }
 
     #[test]
@@ -1886,6 +1792,23 @@ mod tests {
         assert!(out.contains("\"verdict\":\"proved\""), "{out}");
         assert!(out.contains("\"conflicts\":"), "{out}");
         assert!(out.contains("\"propagations\":"), "{out}");
+    }
+
+    #[test]
+    fn prove_json_escapes_invalid_rows() {
+        // The store path lands in the invalid row's error text; its
+        // backslash and quote must not break the envelope.
+        let message = call(&["prove", "4", "--store", "no\\such\"dir", "--json"])
+            .unwrap_err()
+            .0;
+        let (_, json) = message
+            .split_once('\n')
+            .expect("a summary line, then the envelope");
+        let envelope = hwperm_serve::Json::parse(json.as_bytes()).unwrap();
+        let row = &envelope.get("results").unwrap().as_array().unwrap()[0];
+        assert_eq!(row.get("verdict").and_then(|v| v.as_str()), Some("invalid"));
+        let error = row.get("error").and_then(|e| e.as_str()).unwrap();
+        assert!(error.contains("under no\\such\"dir "), "{error}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! - [`FaultSpec`] — stuck-at-0/1 on any gate output, single-event
 //!   upsets on DFF state, and wired-AND bridges between primary inputs;
-//! - [`FaultySim`] / [`FaultBatchSim`] — scalar and word-level overlay
+//! - [`OverlaySim`] — scalar (`OverlaySim<bool>`) and word-level overlay
 //!   executors over a shared `Arc<SimProgram>`; the batched form runs
 //!   **one fault per lane** at any `SimWord` width
 //!   ([`OverlaySim::batched`]), so a campaign retires 64 (`u64`), 256
@@ -25,6 +25,6 @@ mod overlay;
 mod source;
 mod spec;
 
-pub use overlay::{FaultBatchSim, FaultySim, OverlaySim};
+pub use overlay::OverlaySim;
 pub use source::FaultyShuffleSource;
 pub use spec::FaultSpec;

@@ -14,12 +14,12 @@
 //!   settle.
 //!
 //! The executor is generic over [`SimWord`], with per-lane fault masks:
-//! [`FaultySim`] (scalar, every fault on the one lane) and the batched
-//! overlays built by [`OverlaySim::batched`] (**one fault per lane**,
-//! [`SimWord::LANES`] lanes — 64 for the [`FaultBatchSim`] alias, 256
-//! or 512 for the wide words) share the same force/flip/bridge
-//! machinery, so a campaign sweeps up to `LANES` distinct faults per
-//! tape walk.
+//! the scalar `OverlaySim<bool>` (every fault on the one lane, built by
+//! [`OverlaySim::new`]) and the batched overlays built by
+//! [`OverlaySim::batched`] (**one fault per lane**, [`SimWord::LANES`]
+//! lanes — 64 for `u64`, 256 or 512 for the wide words) share the same
+//! force/flip/bridge machinery, so a campaign sweeps up to `LANES`
+//! distinct faults per tape walk.
 
 use crate::spec::{resolve, FaultSpec, ResolvedFault};
 use hwperm_logic::{NetId, SimProgram, SimWord};
@@ -60,7 +60,8 @@ struct Bridge<W> {
 }
 
 /// A fault-overlay executor over a shared tape. See the module docs;
-/// use the [`FaultySim`] / [`FaultBatchSim`] aliases to construct one.
+/// construct one with [`OverlaySim::new`] (scalar) or
+/// [`OverlaySim::batched`].
 #[derive(Debug)]
 pub struct OverlaySim<W: SimWord> {
     program: Arc<SimProgram>,
@@ -76,7 +77,7 @@ pub struct OverlaySim<W: SimWord> {
 
 /// Builds the merged force tables from `(fault, lane mask)` pairs.
 /// Forces on the same slot merge mask-wise; where scalar masks collide,
-/// the later fault wins (documented on [`FaultySim::new`]).
+/// the later fault wins (documented on [`OverlaySim::new`]).
 fn build<W: SimWord>(
     program: Arc<SimProgram>,
     faults: impl Iterator<Item = (FaultSpec, W)>,
@@ -137,8 +138,7 @@ fn build<W: SimWord>(
 }
 
 impl<W: SimWord> OverlaySim<W> {
-    /// A batched overlay with fault `k` assigned to lane `k` — the
-    /// width-generic constructor behind [`FaultBatchSim::new`]. Lanes
+    /// A batched overlay with fault `k` assigned to lane `k`. Lanes
     /// beyond `faults.len()` are fault-free (useful as a golden lane).
     ///
     /// # Panics
@@ -284,17 +284,14 @@ impl<W: SimWord> OverlaySim<W> {
     }
 }
 
-/// Scalar fault overlay: every fault applies to the single lane. Where
-/// two stuck-at faults force the same net, the later one in the spec
-/// list wins.
-pub type FaultySim = OverlaySim<bool>;
-
 impl OverlaySim<bool> {
-    /// A scalar overlay applying all of `faults` at once.
+    /// A scalar overlay applying all of `faults` at once, every fault
+    /// to the single lane. Where two stuck-at faults force the same
+    /// net, the later one in the spec list wins.
     ///
     /// # Panics
     /// Panics on malformed specs (see [`FaultSpec`]).
-    pub fn new(program: Arc<SimProgram>, faults: &[FaultSpec]) -> FaultySim {
+    pub fn new(program: Arc<SimProgram>, faults: &[FaultSpec]) -> Self {
         build(program, faults.iter().map(|&f| (f, true)))
     }
 
@@ -333,24 +330,6 @@ impl OverlaySim<bool> {
     }
 }
 
-/// 64-lane fault overlay: lane `k` carries fault `k` alone, so one tape
-/// walk evaluates up to 64 distinct single faults side by side. The
-/// `u64` instantiation of the width-generic batched overlay — use
-/// `OverlaySim::<W256>::batched` / `OverlaySim::<W512>::batched` for
-/// 256 or 512 faults per walk.
-pub type FaultBatchSim = OverlaySim<u64>;
-
-impl OverlaySim<u64> {
-    /// A 64-lane batched overlay with fault `k` assigned to lane `k` —
-    /// [`OverlaySim::batched`] at `W = u64`.
-    ///
-    /// # Panics
-    /// Panics if `faults.len() > 64` or on malformed specs.
-    pub fn new(program: Arc<SimProgram>, faults: &[FaultSpec]) -> FaultBatchSim {
-        Self::batched(program, faults)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,7 +347,7 @@ mod tests {
     }
 
     fn adder_sum(program: &Arc<SimProgram>, faults: &[FaultSpec], x: u64, y: u64) -> u64 {
-        let mut sim = FaultySim::new(Arc::clone(program), faults);
+        let mut sim = OverlaySim::<bool>::new(Arc::clone(program), faults);
         sim.set_input_u64("x", x);
         sim.set_input_u64("y", y);
         sim.eval();
@@ -442,7 +421,8 @@ mod tests {
         b.output_bus("y", &[q]);
         let program = SimProgram::compile_shared(b.finish());
         let dff_net = NetId::forged(1);
-        let mut sim = FaultySim::new(Arc::clone(&program), &[FaultSpec::DffFlip { net: dff_net }]);
+        let mut sim =
+            OverlaySim::<bool>::new(Arc::clone(&program), &[FaultSpec::DffFlip { net: dff_net }]);
         sim.set_input_u64("x", 1);
         sim.step();
         sim.eval();
@@ -472,7 +452,7 @@ mod tests {
                 b: NetId::forged(5),
             },
         ];
-        let mut batch = FaultBatchSim::new(Arc::clone(&program), &faults);
+        let mut batch = OverlaySim::<u64>::batched(Arc::clone(&program), &faults);
         for (x, y) in [(0u64, 0u64), (5, 10), (15, 1), (7, 7)] {
             batch.set_input_all_lanes_u64("x", x);
             batch.set_input_all_lanes_u64("y", y);
@@ -513,7 +493,7 @@ mod tests {
                 value: false,
             })
             .collect();
-        let _ = FaultBatchSim::new(program, &faults);
+        let _ = OverlaySim::<u64>::batched(program, &faults);
     }
 
     #[test]
@@ -547,7 +527,7 @@ mod tests {
             for (k, fault) in faults.iter().enumerate() {
                 let got =
                     batch.read_output_lane_u64("s", k) | (batch.read_output_lane_u64("c", k) << 8);
-                let mut scalar = FaultySim::new(Arc::clone(&program), &[*fault]);
+                let mut scalar = OverlaySim::<bool>::new(Arc::clone(&program), &[*fault]);
                 scalar.set_input_u64("x", x);
                 scalar.set_input_u64("y", y);
                 scalar.eval();

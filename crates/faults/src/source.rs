@@ -1,9 +1,9 @@
 //! A fault-injected Knuth-shuffle stream: the Fig. 3 generator run
-//! through a [`FaultySim`] overlay, exposed as a
+//! through a scalar [`OverlaySim`] overlay, exposed as a
 //! [`RandomPermSource`] so the guarded-stream layer in `hwperm-core`
 //! can be exercised against genuine circuit-level corruption.
 
-use crate::overlay::FaultySim;
+use crate::overlay::OverlaySim;
 use crate::spec::FaultSpec;
 use hwperm_circuits::{shuffle_netlist, ShuffleOptions};
 use hwperm_core::RandomPermSource;
@@ -24,7 +24,7 @@ use hwperm_perm::Permutation;
 /// a non-permutation.
 #[derive(Debug)]
 pub struct FaultyShuffleSource {
-    sim: FaultySim,
+    sim: OverlaySim<bool>,
     n: usize,
 }
 
@@ -40,7 +40,7 @@ impl FaultyShuffleSource {
             Permutation::packed_width(n)
         );
         let program = SimProgram::compile_shared(shuffle_netlist(n, options));
-        let mut sim = FaultySim::new(program, faults);
+        let mut sim = OverlaySim::new(program, faults);
         sim.eval();
         if options.pipelined {
             for _ in 0..n - 1 {

@@ -1,68 +1,17 @@
 //! Differential property tests for the fault overlay: with an empty
-//! fault list, [`FaultySim`] and [`FaultBatchSim`] must be
-//! bit-identical to the bare scalar [`Simulator`] on the same netlist
-//! — for every one of the nine circuit families the lint driver
-//! covers, combinational and sequential alike. The overlay's forcing
+//! fault list, the scalar `OverlaySim<bool>` and the 64-lane
+//! `OverlaySim<u64>` must be bit-identical to the bare scalar
+//! [`Simulator`] on the same netlist — for every registered circuit
+//! family, combinational and sequential alike. The overlay's forcing
 //! masks are all zero in this configuration, so any divergence means
 //! the overlay machinery itself (segmented execution, latch order,
 //! reset) disagrees with the reference tape.
 
 use hwperm_bignum::Ubig;
-use hwperm_circuits::{
-    converter_netlist, shuffle_netlist, ConverterOptions, IndexToCombinationConverter,
-    IndexToVariationConverter, PermToIndexConverter, RandomIndexGenerator, ShuffleOptions,
-    SortingNetwork,
-};
-use hwperm_faults::{FaultBatchSim, FaultySim};
+use hwperm_circuits::families;
+use hwperm_faults::OverlaySim;
 use hwperm_logic::{Netlist, SimProgram, Simulator};
 use proptest::prelude::*;
-
-/// The same nine families the lint driver and the batch-equivalence
-/// proptests pin, so fault-free overlay parity is checked against the
-/// exact netlists the campaign engine will later target.
-const FAMILIES: [&str; 9] = [
-    "converter",
-    "converter-pipelined",
-    "shuffle",
-    "shuffle-pipelined",
-    "rank",
-    "combination",
-    "variation",
-    "sort",
-    "random-index",
-];
-
-/// Same derived defaults as the CLI's lint driver: combination and
-/// variation take k = ⌈n/2⌉, sorter keys are wide enough for n
-/// distinct values.
-fn family_netlist(family: &str, n: usize) -> Netlist {
-    let k = n.div_ceil(2);
-    let key_width = (usize::BITS as usize - (n - 1).leading_zeros() as usize).max(2);
-    match family {
-        "converter" => converter_netlist(n, ConverterOptions::default()),
-        "converter-pipelined" => converter_netlist(
-            n,
-            ConverterOptions {
-                pipelined: true,
-                perm_input_port: false,
-            },
-        ),
-        "shuffle" => shuffle_netlist(n, ShuffleOptions::default()),
-        "shuffle-pipelined" => shuffle_netlist(
-            n,
-            ShuffleOptions {
-                pipelined: true,
-                ..ShuffleOptions::default()
-            },
-        ),
-        "rank" => PermToIndexConverter::new(n).netlist().clone(),
-        "combination" => IndexToCombinationConverter::new(n, k).netlist().clone(),
-        "variation" => IndexToVariationConverter::new(n, k).netlist().clone(),
-        "sort" => SortingNetwork::new(n, key_width).netlist().clone(),
-        "random-index" => RandomIndexGenerator::new(n, 0x5eed).netlist().clone(),
-        other => panic!("unknown family {other:?}"),
-    }
-}
 
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -111,8 +60,8 @@ fn assert_eval_parity(family: &str, netlist: &Netlist, seed: u64) {
     let program = SimProgram::compile_shared(netlist.clone());
 
     let mut reference = Simulator::new(netlist.clone());
-    let mut scalar = FaultySim::new(program.clone(), &[]);
-    let mut batch = FaultBatchSim::new(program.clone(), &[]);
+    let mut scalar = OverlaySim::<bool>::new(program.clone(), &[]);
+    let mut batch = OverlaySim::<u64>::batched(program.clone(), &[]);
     for (name, word) in &cycle {
         reference.set_input(name, &ubig_of(*word));
         scalar.set_input_u64(name, *word);
@@ -153,8 +102,8 @@ fn assert_step_parity(family: &str, netlist: &Netlist, cycles: usize, seed: u64)
     let program = SimProgram::compile_shared(netlist.clone());
 
     let mut reference = Simulator::new(netlist.clone());
-    let mut scalar = FaultySim::new(program.clone(), &[]);
-    let mut batch = FaultBatchSim::new(program.clone(), &[]);
+    let mut scalar = OverlaySim::<bool>::new(program.clone(), &[]);
+    let mut batch = OverlaySim::<u64>::batched(program.clone(), &[]);
 
     for round in 0..2 {
         for (c, cycle) in schedule.iter().enumerate() {
@@ -195,20 +144,20 @@ fn assert_step_parity(family: &str, netlist: &Netlist, cycles: usize, seed: u64)
 }
 
 proptest! {
-    // Each case covers all nine families; the sequential families run
-    // a 4-cycle schedule twice (pre- and post-reset).
+    // Each case covers every family; the sequential families run a
+    // 4-cycle schedule twice (pre- and post-reset).
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A fault-free overlay is bit-identical to the bare tape for all
-    /// nine circuit families.
+    /// A fault-free overlay is bit-identical to the bare tape for every
+    /// registered circuit family.
     #[test]
     fn fault_free_overlay_matches_reference(n in 2usize..=5, seed in any::<u64>()) {
-        for family in FAMILIES {
-            let netlist = family_netlist(family, n);
+        for family in families() {
+            let netlist = (family.build)(n);
             if netlist.register_count() == 0 {
-                assert_eval_parity(family, &netlist, seed);
+                assert_eval_parity(family.name, &netlist, seed);
             } else {
-                assert_step_parity(family, &netlist, 4, seed);
+                assert_step_parity(family.name, &netlist, 4, seed);
             }
         }
     }

@@ -21,9 +21,9 @@
 //! per worker thread in `hwperm-verify`'s sharded sweeps) share one
 //! compilation through `Arc<SimProgram>`.
 //!
-//! [`BatchSimulator`] is the 64-lane `u64` instantiation — the default
-//! throughout the workspace — and [`BatchSim`] is the width-generic
-//! simulator behind it. The API mirrors the scalar simulator lane-wise:
+//! `BatchSim<u64>`, the 64-lane instantiation, is the default
+//! throughout the workspace; `BatchSim<W256>` and `BatchSim<W512>` are
+//! the wide ones. The API mirrors the scalar simulator lane-wise:
 //! [`BatchSim::set_input_lanes`] / [`BatchSim::eval`] /
 //! [`BatchSim::step`] / [`BatchSim::read_output_lanes`], plus fast
 //! paths for ports of at most 64 bits, which the batched exhaustive
@@ -36,15 +36,14 @@ use crate::sim::assert_input_fits;
 use hwperm_bignum::Ubig;
 use std::sync::Arc;
 
-/// Number of independent simulation lanes of the default `u64`
-/// [`BatchSimulator`]: one per bit of the word stored for each net.
+/// Number of independent simulation lanes of the default
+/// `BatchSim<u64>`: one per bit of the word stored for each net.
 /// Width-generic code should use [`SimWord::LANES`] instead.
 pub const LANES: usize = 64;
 
 /// Evaluates a [`Netlist`] on [`SimWord::LANES`] independent input
-/// vectors per forward pass. [`BatchSimulator`] aliases the 64-lane
-/// `u64` instantiation; `BatchSim<W256>` / `BatchSim<W512>` settle 256
-/// / 512 lanes per pass.
+/// vectors per forward pass: 64 for `BatchSim<u64>`, 256 / 512 for
+/// `BatchSim<W256>` / `BatchSim<W512>`.
 #[derive(Debug, Clone)]
 pub struct BatchSim<W: SimWord> {
     program: Arc<SimProgram>,
@@ -54,9 +53,6 @@ pub struct BatchSim<W: SimWord> {
     /// Reusable two-phase latch buffer (one entry per DFF).
     scratch: Vec<W>,
 }
-
-/// The default 64-lane batch simulator (`BatchSim<u64>`).
-pub type BatchSimulator = BatchSim<u64>;
 
 impl<W: SimWord> BatchSim<W> {
     /// Compiles the netlist and creates a batch simulator with all
@@ -270,7 +266,7 @@ impl<W: SimWord> BatchSim<W> {
     }
 }
 
-impl BatchSimulator {
+impl BatchSim<u64> {
     /// `u64` fast path of [`BatchSim::read_output_lanes`] for ports of
     /// at most 64 bits: element `l` is lane `l`'s value.
     ///
@@ -304,7 +300,7 @@ mod tests {
         let mut b = Builder::new();
         let x = b.input_bus("x", 8);
         b.output_bus("y", &x);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
         let values: Vec<u64> = (0..64).map(|l| (l * 3) & 0xFF).collect();
         sim.set_input_lanes_u64("x", &values);
         sim.eval();
@@ -324,11 +320,11 @@ mod tests {
 
         let xs: Vec<u64> = (0..64).map(|l| (l * 7 + 3) & 0xFF).collect();
         let ys: Vec<u64> = (0..64).map(|l| (l * 13 + 91) & 0xFF).collect();
-        let mut fast = BatchSimulator::new(nl.clone());
+        let mut fast = BatchSim::<u64>::new(nl.clone());
         fast.set_input_lanes_u64("x", &xs);
         fast.set_input_lanes_u64("y", &ys);
         fast.eval();
-        let mut slow = BatchSimulator::new(nl);
+        let mut slow = BatchSim::<u64>::new(nl);
         let xb: Vec<Ubig> = xs.iter().map(|&v| Ubig::from(v)).collect();
         let yb: Vec<Ubig> = ys.iter().map(|&v| Ubig::from(v)).collect();
         slow.set_input_lanes("x", &xb);
@@ -358,7 +354,7 @@ mod tests {
         };
         let xs: Vec<u64> = (0..64).map(|l| (l * 5) & 0x3F).collect();
         let ys: Vec<u64> = (0..64).map(|l| (l * 11 + 1) & 0x3F).collect();
-        let mut batch = BatchSimulator::new(build());
+        let mut batch = BatchSim::<u64>::new(build());
         batch.set_input_lanes_u64("x", &xs);
         batch.set_input_lanes_u64("y", &ys);
         batch.eval();
@@ -381,7 +377,7 @@ mod tests {
         b.output_bus("y", &x);
         let program = SimProgram::compile_shared(b.finish());
         let mut scalar = Simulator::from_program(Arc::clone(&program));
-        let mut batch = BatchSimulator::from_program(Arc::clone(&program));
+        let mut batch = BatchSim::<u64>::from_program(Arc::clone(&program));
         scalar.set_input_u64("x", 5);
         scalar.eval();
         batch.set_input_lanes_u64("x", &[5; LANES]);
@@ -403,7 +399,7 @@ mod tests {
         let r1 = b.register_bus(&x, false);
         let r2 = b.register_bus(&r1, false);
         b.output_bus("y", &r2);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
 
         let first: Vec<u64> = (0..64).map(|l| l & 0x3F).collect();
         let second: Vec<u64> = (0..64).map(|l| (63 - l) & 0x3F).collect();
@@ -424,7 +420,7 @@ mod tests {
         let x = b.input_bus("x", 1);
         let r = b.dff(x[0], true);
         b.output_bus("y", &[r]);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
         sim.eval();
         assert_eq!(sim.read_output_lanes_u64("y"), [1u64; LANES]);
         // Half the lanes pull the flop low, half keep it high.
@@ -443,7 +439,7 @@ mod tests {
         let mut b = Builder::new();
         let x = b.input_bus("x", 4);
         b.output_bus("y", &x);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
         let values: Vec<u64> = (0..64).map(|l| l & 0xF).collect();
         sim.set_input_lanes_u64("x", &values);
         sim.set_input_lane(7, "x", &Ubig::from(0xAu64));
@@ -460,7 +456,7 @@ mod tests {
         let mut b = Builder::new();
         let x = b.input_bus("x", 4);
         b.output_bus("y", &x);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
         sim.set_input_lanes_u64("x", &[0xF; LANES]);
         sim.eval();
         sim.set_input_lanes_u64("x", &[5, 9]);
@@ -483,7 +479,7 @@ mod tests {
         let nl = b.finish();
 
         let xs: Vec<u64> = (0..64).map(|l| (l * 3 + 1) & 0x1F).collect();
-        let mut by_lanes = BatchSimulator::new(nl.clone());
+        let mut by_lanes = BatchSim::<u64>::new(nl.clone());
         by_lanes.set_input_lanes_u64("x", &xs);
         by_lanes.set_input_lanes_u64("y", &[7; LANES]);
         by_lanes.eval();
@@ -496,7 +492,7 @@ mod tests {
                     .fold(0u64, |w, (l, &v)| w | (((v >> b) & 1) << l))
             })
             .collect();
-        let mut by_words = BatchSimulator::new(nl);
+        let mut by_words = BatchSim::<u64>::new(nl);
         by_words.set_input_words("x", &words);
         by_words.set_input_lanes_u64("y", &[7; LANES]);
         by_words.eval();
@@ -578,7 +574,7 @@ mod tests {
     fn word_count_must_match_port_width() {
         let mut b = Builder::new();
         b.input_bus("x", 3);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
         sim.set_input_words("x", &[0, 0]);
     }
 
@@ -587,7 +583,7 @@ mod tests {
     fn lane_width_checked_like_scalar() {
         let mut b = Builder::new();
         b.input_bus("x", 2);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
         sim.set_input_lanes_u64("x", &[1, 9]);
     }
 
@@ -596,7 +592,7 @@ mod tests {
     fn unknown_port_panics_like_scalar() {
         let mut b = Builder::new();
         b.input_bus("x", 2);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
         sim.set_input_lanes_u64("y", &[0]);
     }
 
@@ -605,7 +601,7 @@ mod tests {
     fn more_than_64_lane_values_rejected() {
         let mut b = Builder::new();
         b.input_bus("x", 2);
-        let mut sim = BatchSimulator::new(b.finish());
+        let mut sim = BatchSim::<u64>::new(b.finish());
         sim.set_input_lanes_u64("x", &[0u64; 65]);
     }
 

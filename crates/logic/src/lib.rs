@@ -27,11 +27,11 @@
 //!   one clock edge (combinational settle, then DFFs latch), so
 //!   pipelined circuits exhibit their real latency and one-result-per-
 //!   clock throughput.
-//! - [`BatchSimulator`]: the word-level counterpart — the same tape run
-//!   at `u64` instead of `bool`, each of the [`LANES`] bit positions an
-//!   independent test vector, so a single forward pass simulates 64
-//!   input vectors at once. The exhaustive verification stack
-//!   (`hwperm-verify`) is built on it.
+//! - [`BatchSim`]: the word-level counterpart — the same tape run at a
+//!   word instead of `bool`, each lane an independent test vector, so a
+//!   single forward pass of `BatchSim<u64>` simulates [`LANES`] = 64
+//!   input vectors at once (256 or 512 with the wide words). The
+//!   exhaustive verification stack (`hwperm-verify`) is built on it.
 //! - [`tech`]: the stand-in for the FPGA tool reports behind Tables
 //!   III/IV — greedy ≤6-input LUT cone packing, a Stratix-IV-style ALM
 //!   packing estimate, register counts, and a logic-depth-based Fmax
@@ -65,7 +65,7 @@ pub mod tech;
 pub mod vcd;
 pub mod verilog;
 
-pub use batch::{BatchSim, BatchSimulator, LANES};
+pub use batch::{BatchSim, LANES};
 pub use blif::to_blif;
 pub use builder::{Builder, Bus};
 pub use netlist::{Gate, NetId, Netlist, Port, StructuralIssue};

@@ -1,7 +1,7 @@
 //! The compiled simulation tape: a [`Netlist`] lowered once into an
 //! immutable, levelized, structure-of-arrays gate program that the
 //! scalar [`crate::Simulator`] and the word-level
-//! [`crate::BatchSimulator`] execute.
+//! [`crate::BatchSim`] execute.
 //!
 //! Motivation: the original simulators re-walked the `Netlist` on every
 //! `eval`, paying a `Gate` enum match plus `NetId` indirection per gate

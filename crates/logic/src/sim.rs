@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 /// Looks up an input port, panicking with the port name and the
 /// available ports (with widths) on a miss. Shared by the scalar
-/// [`Simulator`], the 64-lane [`crate::BatchSimulator`] and the
+/// [`Simulator`], the word-level [`crate::BatchSim`] and the
 /// [`SimProgram`] slot maps so the front-ends can never drift apart on
 /// their diagnostics.
 pub(crate) fn lookup_input_port<'a>(netlist: &'a Netlist, name: &str) -> &'a Port {

@@ -35,8 +35,8 @@
 
 use crate::exhaustive::port_width_checked;
 use crate::parallel::fan_out;
-use hwperm_faults::{FaultSpec, FaultySim, OverlaySim};
-use hwperm_logic::{BatchSimulator, NetId, Netlist, SimProgram, SimWord, LANES};
+use hwperm_faults::{FaultSpec, OverlaySim};
+use hwperm_logic::{BatchSim, NetId, Netlist, SimProgram, SimWord, LANES};
 use std::sync::Arc;
 
 /// How one fault manifested over the exhaustive index sweep.
@@ -266,9 +266,9 @@ pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
 }
 
 /// Scalar reference implementation of [`stuck_at_campaign_wide`]: one
-/// [`FaultySim`] per fault, one tape walk per (fault, index) pair. Kept
-/// for verdict parity; the repository benchmark times the word-level
-/// campaign as `campaign_ms` (see `benchmark/README.md`).
+/// `OverlaySim<bool>` per fault, one tape walk per (fault, index)
+/// pair. Kept for verdict parity; the repository benchmark times the
+/// word-level campaign as `campaign_ms` (see `benchmark/README.md`).
 ///
 /// # Panics
 /// Same conditions as [`stuck_at_campaign_wide`] (minus `workers`).
@@ -283,7 +283,7 @@ pub fn stuck_at_campaign_scalar(
     let verdicts = single_stuck_at_universe(netlist)
         .into_iter()
         .map(|fault| {
-            let mut sim = FaultySim::new(Arc::clone(&program), &[fault]);
+            let mut sim = OverlaySim::<bool>::new(Arc::clone(&program), &[fault]);
             let mut first_diverge = None;
             let mut first_silent = None;
             for (index, &want) in expected.iter().enumerate() {
@@ -336,7 +336,7 @@ pub fn golden_output_words(netlist: &Netlist, input: &str, output: &str) -> Vec<
         "golden sweep of the {w}-bit input port {input:?} is too wide (max 16 bits)"
     );
     let total = 1usize << w;
-    let mut sim = BatchSimulator::new(netlist.clone());
+    let mut sim = BatchSim::<u64>::new(netlist.clone());
     let mut out = Vec::with_capacity(total);
     let mut lanes = Vec::with_capacity(LANES);
     for base in (0..total).step_by(LANES) {

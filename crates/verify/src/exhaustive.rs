@@ -23,7 +23,7 @@
 //! block-decoded, with a thread-sharded variant).
 
 use hwperm_bignum::Ubig;
-use hwperm_logic::{BatchSim, BatchSimulator, Netlist, SimWord, Simulator, LANES};
+use hwperm_logic::{BatchSim, Netlist, SimWord, Simulator, LANES};
 use std::fmt;
 
 #[cfg(doc)]
@@ -313,7 +313,7 @@ pub(crate) fn one_hot_sweep_total(netlist: &Netlist, input: &str) -> u64 {
 /// hot line — the 64-wide analogue of the BDD chain in
 /// [`crate::check_one_hot_bank`].
 pub(crate) fn scan_one_hot_range(
-    sim: &mut BatchSimulator,
+    sim: &mut BatchSim<u64>,
     banks: &[Vec<hwperm_logic::NetId>],
     input: &str,
     start: u64,

@@ -41,7 +41,7 @@ use crate::exhaustive::{
     check_batch_range, one_hot_sweep_total, port_width_checked, scan_one_hot_range,
     ExhaustiveMismatch, WideExpectation,
 };
-use hwperm_logic::{BatchSim, BatchSimulator, Netlist, SimProgram, SimWord, LANES};
+use hwperm_logic::{BatchSim, Netlist, SimProgram, SimWord, LANES};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -186,7 +186,7 @@ pub fn find_one_hot_violation_parallel(
     let batches = total.div_ceil(LANES as u64) as usize;
     let program = SimProgram::compile_shared(netlist.clone());
     fan_out(batches, workers, |shard| {
-        let mut sim = BatchSimulator::from_program(Arc::clone(&program));
+        let mut sim = BatchSim::<u64>::from_program(Arc::clone(&program));
         let start = (shard.start * LANES) as u64;
         let end = ((shard.end * LANES) as u64).min(total);
         scan_one_hot_range(&mut sim, banks, input, start, end)

@@ -9,6 +9,8 @@ use hwperm_factoradic::{unrank, unrank_u64};
 use hwperm_logic::{to_blif, to_verilog, Simulator, Tracer};
 use hwperm_verify::CompiledNetlist;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::process::Command;
 
 #[test]
 fn verilog_and_blif_cover_the_same_converter() {
@@ -113,19 +115,10 @@ fn stream_feeds_a_consumer_that_cross_checks_the_circuit() {
     assert_eq!(count, 20);
 }
 
-/// End-to-end: spawn the real `hwperm serve` binary, round-trip every
-/// request type through a protocol client, shut it down gracefully and
-/// check the exit status plus the printed summary.
-#[test]
-fn serve_cli_round_trips_every_request_type() {
-    use hwperm_serve::{Client, Endpoint};
-    use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
-
-    // The CLI binary lives next to the test's profile directory
-    // (target/<profile>/hwperm). `cargo test` builds workspace bins
-    // before running integration tests; rebuild defensively if a
-    // filtered invocation skipped it.
+/// The `hwperm` binary, which lives next to the test's profile
+/// directory (target/<profile>/hwperm). This package does not depend on
+/// the CLI, so build it when a test run has not.
+fn hwperm_bin() -> PathBuf {
     let exe = std::env::current_exe().expect("test executable path");
     let bin = exe
         .parent()
@@ -139,8 +132,56 @@ fn serve_cli_round_trips_every_request_type() {
             .expect("cargo build -p hwperm-cli");
         assert!(status.success(), "building the CLI binary failed");
     }
+    bin
+}
 
-    let mut child = Command::new(&bin)
+/// The usage contract at the binary: a malformed invocation of every
+/// subcommand (and an unknown command) exits 2, prints nothing on
+/// stdout and one `hwperm: ` message on stderr.
+#[test]
+fn malformed_invocations_exit_2_with_a_message() {
+    let bin = hwperm_bin();
+    for args in [
+        &["unrank", "4"][..],
+        &["rank", "0", "0"],
+        &["combination", "5", "6", "0"],
+        &["rank-combination", "5", "3", "2"],
+        &["variation", "5", "2", "20"],
+        &["rank-variation", "5", "1", "1"],
+        &["random"],
+        &["random-circuit", "1"],
+        &["all"],
+        &["resources", "nosuch", "4"],
+        &["lint", "nosuch", "4"],
+        &["prove", "4", "--family", "sort"],
+        &["bias", "1", "2"],
+        &["sort", "5"],
+        &["faults", "4", "--family", "shuffle"],
+        &["verify", "20"],
+        &["verilog", "nosuch", "4"],
+        &["serve"],
+        &["client"],
+        &["store", "polish", "5"],
+        &["frobnicate"],
+    ] {
+        let out = Command::new(&bin).args(args).output().expect("run hwperm");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert!(stderr.starts_with("hwperm: "), "{args:?}: {stderr}");
+    }
+}
+
+/// End-to-end: spawn the real `hwperm serve` binary, round-trip every
+/// request type through a protocol client, shut it down gracefully and
+/// check the exit status plus the printed summary.
+#[test]
+fn serve_cli_round_trips_every_request_type() {
+    use hwperm_serve::{Client, Endpoint};
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(hwperm_bin())
         .args(["serve", "127.0.0.1:0", "--workers", "2"])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
