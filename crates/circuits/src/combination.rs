@@ -13,7 +13,7 @@
 
 use hwperm_bignum::Ubig;
 use hwperm_factoradic::binomial;
-use hwperm_logic::{Builder, Netlist, ResourceReport, Simulator};
+use hwperm_logic::{BatchSim, Builder, Netlist, ResourceReport};
 
 /// Index → `k`-of-`n` constant-weight codeword converter.
 ///
@@ -28,7 +28,7 @@ use hwperm_logic::{Builder, Netlist, ResourceReport, Simulator};
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexToCombinationConverter {
-    sim: Simulator,
+    sim: BatchSim<bool>,
     n: usize,
     k: usize,
     total: Ubig,
@@ -45,7 +45,7 @@ impl IndexToCombinationConverter {
         let total = binomial(n as u64, k as u64);
         let netlist = build_combination_converter(n, k);
         IndexToCombinationConverter {
-            sim: Simulator::new(netlist),
+            sim: BatchSim::<bool>::new(netlist),
             n,
             k,
             total,

@@ -18,7 +18,7 @@
 //! per clock — the paper's headline operating mode.
 
 use hwperm_bignum::Ubig;
-use hwperm_logic::{Builder, Bus, Netlist, ResourceReport, Simulator};
+use hwperm_logic::{BatchSim, Builder, Bus, Netlist, ResourceReport};
 use hwperm_perm::{bits_per_element, Permutation};
 
 /// Build-time options for [`IndexToPermConverter`].
@@ -48,7 +48,7 @@ pub struct ConverterOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexToPermConverter {
-    sim: Simulator,
+    sim: BatchSim<bool>,
     n: usize,
     index_width: usize,
     options: ConverterOptions,
@@ -71,7 +71,7 @@ impl IndexToPermConverter {
         let index_width = index_width(n);
         let latency = if options.pipelined { n - 1 } else { 0 };
         IndexToPermConverter {
-            sim: Simulator::new(netlist),
+            sim: BatchSim::<bool>::new(netlist),
             n,
             index_width,
             options,

@@ -10,7 +10,7 @@
 use crate::converter::{emit_converter_stages, emit_packed_output, index_width};
 use hwperm_bignum::Ubig;
 use hwperm_factoradic::unrank;
-use hwperm_logic::{Builder, Netlist, ResourceReport, Simulator};
+use hwperm_logic::{BatchSim, Builder, Netlist, ResourceReport};
 use hwperm_perm::{bits_per_element, Permutation};
 use hwperm_rng::lfsr::build_lfsr;
 use hwperm_rng::Lfsr;
@@ -23,7 +23,7 @@ use hwperm_rng::Lfsr;
 /// shuffle circuit instead.
 #[derive(Debug, Clone)]
 pub struct RandomIndexGenerator {
-    sim: Simulator,
+    sim: BatchSim<bool>,
     n: usize,
     m: usize,
     nfact: Ubig,
@@ -51,7 +51,7 @@ impl RandomIndexGenerator {
         );
         let nfact = Ubig::factorial(n as u64);
         let netlist = build_random_index_generator(n, m, seed);
-        let mut sim = Simulator::new(netlist);
+        let mut sim = BatchSim::<bool>::new(netlist);
         sim.eval();
         RandomIndexGenerator { sim, n, m, nfact }
     }

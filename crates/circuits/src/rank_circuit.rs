@@ -11,7 +11,7 @@
 
 use crate::converter::index_width;
 use hwperm_bignum::Ubig;
-use hwperm_logic::{Builder, Bus, Netlist, ResourceReport, Simulator};
+use hwperm_logic::{BatchSim, Builder, Bus, Netlist, ResourceReport};
 use hwperm_perm::{bits_per_element, Permutation};
 
 /// Permutation → index converter (hardware rank).
@@ -26,7 +26,7 @@ use hwperm_perm::{bits_per_element, Permutation};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PermToIndexConverter {
-    sim: Simulator,
+    sim: BatchSim<bool>,
     n: usize,
 }
 
@@ -38,7 +38,7 @@ impl PermToIndexConverter {
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "rank circuit requires n >= 2");
         PermToIndexConverter {
-            sim: Simulator::new(build_rank_circuit(n)),
+            sim: BatchSim::<bool>::new(build_rank_circuit(n)),
             n,
         }
     }

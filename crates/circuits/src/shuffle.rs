@@ -9,7 +9,7 @@
 //! (up to the LFSR bias analysed in `hwperm_rng::randint`).
 
 use hwperm_bignum::Ubig;
-use hwperm_logic::{Builder, Bus, Netlist, ResourceReport, Simulator};
+use hwperm_logic::{BatchSim, Builder, Bus, Netlist, ResourceReport};
 use hwperm_perm::{bits_per_element, Permutation};
 use hwperm_rng::lfsr::build_lfsr;
 use hwperm_rng::{random_integer, Lfsr};
@@ -59,7 +59,7 @@ fn splitmix64(x: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct KnuthShuffleCircuit {
-    sim: Simulator,
+    sim: BatchSim<bool>,
     n: usize,
     options: ShuffleOptions,
 }
@@ -76,7 +76,7 @@ impl KnuthShuffleCircuit {
     /// Panics if `n < 2`.
     pub fn with_options(n: usize, options: ShuffleOptions) -> Self {
         let netlist = build_shuffle(n, options);
-        let mut sim = Simulator::new(netlist);
+        let mut sim = BatchSim::<bool>::new(netlist);
         let mut gen = KnuthShuffleCircuit {
             n,
             options,

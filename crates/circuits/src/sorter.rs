@@ -13,7 +13,7 @@
 //! delay — the converter's complexity exactly.
 
 use hwperm_bignum::Ubig;
-use hwperm_logic::{Builder, Bus, Netlist, ResourceReport, Simulator};
+use hwperm_logic::{BatchSim, Builder, Bus, Netlist, ResourceReport};
 
 /// An `n`-input, `w`-bit-key sorting network built from the converter's
 /// stage datapath.
@@ -26,7 +26,7 @@ use hwperm_logic::{Builder, Bus, Netlist, ResourceReport, Simulator};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SortingNetwork {
-    sim: Simulator,
+    sim: BatchSim<bool>,
     n: usize,
     w: usize,
 }
@@ -41,7 +41,7 @@ impl SortingNetwork {
         assert!((1..=63).contains(&w), "key width must be 1..=63 bits");
         let netlist = build_sorter(n, w);
         SortingNetwork {
-            sim: Simulator::new(netlist),
+            sim: BatchSim::<bool>::new(netlist),
             n,
             w,
         }

@@ -13,7 +13,7 @@ use hwperm_bignum::Ubig;
 use hwperm_factoradic::falling_factorial;
 #[cfg(test)]
 use hwperm_factoradic::unrank_variation;
-use hwperm_logic::{Builder, Netlist, ResourceReport, Simulator};
+use hwperm_logic::{BatchSim, Builder, Netlist, ResourceReport};
 use hwperm_perm::bits_per_element;
 
 /// Index → ordered `k`-selection converter.
@@ -28,7 +28,7 @@ use hwperm_perm::bits_per_element;
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexToVariationConverter {
-    sim: Simulator,
+    sim: BatchSim<bool>,
     n: usize,
     k: usize,
     total: Ubig,
@@ -45,7 +45,7 @@ impl IndexToVariationConverter {
         let total = falling_factorial(n as u64, k as u64);
         let netlist = build_variation_converter(n, k, &total);
         IndexToVariationConverter {
-            sim: Simulator::new(netlist),
+            sim: BatchSim::<bool>::new(netlist),
             n,
             k,
             total,

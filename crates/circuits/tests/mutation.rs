@@ -7,7 +7,7 @@
 
 use hwperm_bignum::Ubig;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{Gate, Netlist, Simulator};
+use hwperm_logic::{BatchSim, Gate, Netlist};
 use hwperm_perm::Permutation;
 use hwperm_verify::{
     exhaustive_check_parallel_wide, exhaustive_check_scalar, expected_permutation_words,
@@ -59,8 +59,8 @@ fn every_live_mutation_is_caught() {
     let mut mutants = 0;
     let mut caught = 0;
     let mut survivors = Vec::new();
-    for i in 0..netlist.len() {
-        if !live[i] {
+    for (i, &alive) in live.iter().enumerate() {
+        if !alive {
             continue;
         }
         let Some(mutated_gate) = mutate(netlist.gates()[i]) else {
@@ -144,7 +144,7 @@ fn shuffle_circuit_mutations_are_mostly_caught() {
 
     // One full LFSR period so every reachable state is exercised.
     let behaves = |netlist: Netlist| -> bool {
-        let mut sim = Simulator::new(netlist);
+        let mut sim = BatchSim::<bool>::new(netlist);
         let mut model = KnuthShuffleModel::with_options(3, opts);
         for _ in 0..255 {
             sim.eval();
@@ -161,8 +161,8 @@ fn shuffle_circuit_mutations_are_mostly_caught() {
 
     let mut mutants = 0;
     let mut caught = 0;
-    for i in 0..netlist.len() {
-        if !live[i] {
+    for (i, &alive) in live.iter().enumerate() {
+        if !alive {
             continue;
         }
         let Some(mutated_gate) = mutate(netlist.gates()[i]) else {
@@ -197,7 +197,7 @@ fn single_sample_oracle_is_weaker_than_exhaustive() {
     // the test suite sweeps the whole index space.
     let netlist = converter_netlist(4, ConverterOptions::default());
     let weak_oracle = |netlist: Netlist| {
-        let mut sim = Simulator::new(netlist);
+        let mut sim = BatchSim::<bool>::new(netlist);
         sim.set_input("index", &Ubig::zero());
         sim.eval();
         Permutation::unpack(4, &sim.read_output("perm")) == Ok(Permutation::identity(4))

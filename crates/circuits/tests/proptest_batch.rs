@@ -1,5 +1,5 @@
-//! Differential property tests between the scalar `Simulator` and the
-//! word-level `BatchSim<W>` at every compiled width: lane `l` of a
+//! Differential property tests between the scalar `BatchSim<bool>` and
+//! the word-level `BatchSim<W>` at every compiled width: lane `l` of a
 //! batched run must be indistinguishable from a scalar run fed lane
 //! `l`'s input vector (or input *sequence*, for the registered
 //! families) — whether the word carries 64 (`u64`), 256 (`W256`) or
@@ -8,7 +8,7 @@
 
 use hwperm_bignum::Ubig;
 use hwperm_circuits::{converter_netlist, families, ConverterOptions};
-use hwperm_logic::{BatchSim, Netlist, SimWord, Simulator, W256, W512};
+use hwperm_logic::{BatchSim, Netlist, SimWord, W256, W512};
 use proptest::prelude::*;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -63,7 +63,7 @@ fn assert_eval_lane_equivalent<W: SimWord>(family: &str, netlist: &Netlist, seed
     }
     batch.eval();
 
-    let mut scalar = Simulator::new(netlist.clone());
+    let mut scalar = BatchSim::<bool>::new(netlist.clone());
     for lane in 0..W::LANES {
         for (name, lanes) in &cycle {
             scalar.set_input(name, &lanes[lane]);
@@ -118,7 +118,7 @@ fn assert_step_lane_equivalent<W: SimWord>(
         );
     }
 
-    let mut scalar = Simulator::new(netlist.clone());
+    let mut scalar = BatchSim::<bool>::new(netlist.clone());
     for lane in 0..W::LANES {
         scalar.reset();
         for (c, cycle) in schedule.iter().enumerate() {

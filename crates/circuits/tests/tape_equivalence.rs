@@ -3,7 +3,7 @@
 //! The tape refactor replaced the simulators' direct index-order
 //! netlist walk with a levelized `SimProgram` opcode stream. This suite
 //! pins the refactor to the *pre-refactor* semantics: `ReferenceSim`
-//! below is a verbatim replica of the old `Simulator` (creation-order
+//! below is a verbatim replica of the old scalar simulator (creation-order
 //! gate walk, separate DFF state array), and every registered circuit
 //! family must produce identical outputs through the
 //! tape-backed scalar and 64-lane batched paths — exhaustively for the
@@ -13,11 +13,11 @@
 
 use hwperm_bignum::Ubig;
 use hwperm_circuits::{converter_netlist, families, ConverterOptions};
-use hwperm_logic::{BatchSim, Gate, Netlist, Simulator, LANES};
+use hwperm_logic::{BatchSim, Gate, Netlist, LANES};
 use hwperm_verify::expected_permutation_words;
 use proptest::prelude::*;
 
-/// Verbatim replica of the pre-refactor scalar `Simulator`: one `bool`
+/// Verbatim replica of the pre-refactor scalar simulator: one `bool`
 /// per net, gates evaluated in creation (index) order, DFFs reading a
 /// separate state array that latches on `step`. This is the golden
 /// semantics the compiled tape must reproduce bit for bit.
@@ -171,7 +171,7 @@ fn assert_schedule_matches_reference(family: &str, netlist: &Netlist, cycles: us
     }
 
     let mut golden = ReferenceSim::new(netlist.clone());
-    let mut tape = Simulator::new(netlist.clone());
+    let mut tape = BatchSim::<bool>::new(netlist.clone());
     for lane in 0..LANES {
         golden.reset();
         tape.reset();
@@ -211,7 +211,7 @@ fn assert_converter_exhaustive(n: usize) {
     let netlist = converter_netlist(n, ConverterOptions::default());
     let golden_words = expected_permutation_words(n);
     let mut golden = ReferenceSim::new(netlist.clone());
-    let mut tape = Simulator::new(netlist.clone());
+    let mut tape = BatchSim::<bool>::new(netlist.clone());
     let mut batch = BatchSim::<u64>::new(netlist.clone());
     let total = golden_words.len();
     let mut base = 0usize;

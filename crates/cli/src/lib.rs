@@ -338,6 +338,41 @@ fn tape_stats_json(netlist: Netlist) -> String {
     )
 }
 
+/// Renders a [`LintReport`](hwperm_lint::LintReport) as a JSON object
+/// — the `"report"` field of each `lint --json` result row.
+fn lint_report_json(report: &hwperm_lint::LintReport) -> String {
+    use hwperm_lint::Severity;
+    use hwperm_serve::json::escape;
+    let diagnostics = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            let nets: Vec<String> = d.nets.iter().map(|n| n.to_string()).collect();
+            let ports: Vec<String> = d
+                .ports
+                .iter()
+                .map(|p| format!("\"{}\"", escape(p)))
+                .collect();
+            format!(
+                "{{\"lint\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\
+                 \"nets\":[{}],\"ports\":[{}]}}",
+                d.lint,
+                d.severity,
+                escape(&d.message),
+                nets.join(","),
+                ports.join(",")
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+    format!(
+        "{{\"errors\":{},\"warnings\":{},\"infos\":{},\"diagnostics\":[{diagnostics}]}}",
+        report.error_count(),
+        report.count(Severity::Warn),
+        report.count(Severity::Info)
+    )
+}
+
 fn parse_ubig(s: &str, what: &str) -> Result<Ubig, CliError> {
     Ubig::from_decimal(s).map_err(|e| err(format!("invalid {what} {s:?}: {e}")))
 }
@@ -527,7 +562,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         "{{\"circuit\":\"{}\",\"n\":{n},\"tape\":{},\"report\":{}}}",
                         family.name,
                         tape_stats_json(netlist),
-                        report.to_json()
+                        lint_report_json(&report)
                     ));
                 } else {
                     out.push_str(&format!("== {} (n = {n}) ==\n{report}", family.name));
@@ -1672,6 +1707,28 @@ mod tests {
         assert!(out.contains("\"fused_away\":"), "{out}");
         assert!(out.contains("\"op_counts\":{\""), "{out}");
         assert!(out.contains("\"diagnostics\""), "{out}");
+    }
+
+    #[test]
+    fn json_output_is_well_formed() {
+        // An unused bit on a port with a quote in its name exercises
+        // both the diagnostics array and the string escaping.
+        use hwperm_serve::Json;
+        let mut b = hwperm_logic::Builder::new();
+        let x = b.input_bus("x\"quoted", 2);
+        b.output_bus("y", &[x[0]]);
+        let report = hwperm_lint::lint_netlist(&b.finish());
+        assert_eq!(report.of(hwperm_lint::LintId::UnusedInput).count(), 1);
+        let json = lint_report_json(&report);
+        let row = Json::parse(json.as_bytes()).unwrap_or_else(|e| panic!("{e:?}: {json}"));
+        assert_eq!(row.get("warnings").and_then(Json::as_u64), Some(1));
+        let diagnostics = row.get("diagnostics").and_then(Json::as_array).unwrap();
+        assert_eq!(diagnostics.len(), 1);
+        let ports = diagnostics[0]
+            .get("ports")
+            .and_then(Json::as_array)
+            .unwrap();
+        assert_eq!(ports[0].as_str(), Some("x\"quoted"));
     }
 
     /// Pulls the integer value of `key` out of a lint JSON row.

@@ -287,7 +287,7 @@ mod tests {
         fn next_packed_u64(&mut self) -> u64 {
             self.draws += 1;
             let word = self.inner.next_packed_u64();
-            if self.draws % self.period == 0 {
+            if self.draws.is_multiple_of(self.period) {
                 word ^ 1
             } else {
                 word

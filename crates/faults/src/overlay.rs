@@ -1,8 +1,10 @@
 //! Non-destructive fault overlays on a shared simulation tape.
 //!
-//! An [`OverlaySim`] owns only a value array; the tape itself stays an
-//! immutable `Arc<SimProgram>` shared with every healthy simulator and
-//! every other overlay. Faults are applied *around* the tape:
+//! A [`FaultOverlay`] owns only its force tables and the
+//! `Arc<SimProgram>` they were resolved against; the value array
+//! belongs to the caller's [`BatchSim`], and the tape itself stays an
+//! immutable program shared with every healthy simulator and every
+//! other overlay. Faults are applied *around* the tape:
 //!
 //! - stuck-at faults on combinational nets interpose on the wave by
 //!   segmented execution (`exec_range` up to the faulted op, force its
@@ -13,16 +15,17 @@
 //! - input bridges wire-AND two primary-input slots before every
 //!   settle.
 //!
-//! The executor is generic over [`SimWord`], with per-lane fault masks:
-//! the scalar `OverlaySim<bool>` (every fault on the one lane, built by
-//! [`OverlaySim::new`]) and the batched overlays built by
-//! [`OverlaySim::batched`] (**one fault per lane**, [`SimWord::LANES`]
-//! lanes — 64 for `u64`, 256 or 512 for the wide words) share the same
-//! force/flip/bridge machinery, so a campaign sweeps up to `LANES`
-//! distinct faults per tape walk.
+//! The overlay is generic over [`SimWord`], with per-lane fault masks:
+//! the scalar `FaultOverlay<bool>` (every fault on the one lane, built
+//! by [`FaultOverlay::new`]) and the batched overlays built by
+//! [`FaultOverlay::batched`] (**one fault per lane**,
+//! [`SimWord::LANES`] lanes — 64 for `u64`, 256 or 512 for the wide
+//! words) share the same force/flip/bridge machinery, so a campaign
+//! sweeps up to `LANES` distinct faults per tape walk. Ports, reset
+//! and probes are the simulator's own.
 
 use crate::spec::{resolve, FaultSpec, ResolvedFault};
-use hwperm_logic::{NetId, SimProgram, SimWord};
+use hwperm_logic::{BatchSim, SimProgram, SimWord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -59,14 +62,13 @@ struct Bridge<W> {
     mask: W,
 }
 
-/// A fault-overlay executor over a shared tape. See the module docs;
-/// construct one with [`OverlaySim::new`] (scalar) or
-/// [`OverlaySim::batched`].
+/// Fault force tables resolved against one shared tape, applied
+/// around a caller's [`BatchSim`] over that same tape. See the module
+/// docs; construct one with [`FaultOverlay::new`] (scalar) or
+/// [`FaultOverlay::batched`].
 #[derive(Debug)]
-pub struct OverlaySim<W: SimWord> {
+pub struct FaultOverlay<W: SimWord> {
     program: Arc<SimProgram>,
-    values: Vec<W>,
-    scratch: Vec<W>,
     /// Sorted by op (one merged entry per faulted op), so the eval loop
     /// walks ascending contiguous segments as `exec_range` requires.
     comb: Vec<CombForce<W>>,
@@ -77,11 +79,11 @@ pub struct OverlaySim<W: SimWord> {
 
 /// Builds the merged force tables from `(fault, lane mask)` pairs.
 /// Forces on the same slot merge mask-wise; where scalar masks collide,
-/// the later fault wins (documented on [`OverlaySim::new`]).
+/// the later fault wins (documented on [`FaultOverlay::new`]).
 fn build<W: SimWord>(
     program: Arc<SimProgram>,
     faults: impl Iterator<Item = (FaultSpec, W)>,
-) -> OverlaySim<W> {
+) -> FaultOverlay<W> {
     let mut comb: BTreeMap<usize, CombForce<W>> = BTreeMap::new();
     let mut state: BTreeMap<usize, StateForce<W>> = BTreeMap::new();
     let mut flips: BTreeMap<usize, Flip<W>> = BTreeMap::new();
@@ -125,11 +127,8 @@ fn build<W: SimWord>(
             }
         }
     }
-    let values = program.initial_values();
-    OverlaySim {
+    FaultOverlay {
         program,
-        values,
-        scratch: Vec::new(),
         comb: comb.into_values().collect(),
         state: state.into_values().collect(),
         flips: flips.into_values().collect(),
@@ -137,13 +136,13 @@ fn build<W: SimWord>(
     }
 }
 
-impl<W: SimWord> OverlaySim<W> {
+impl<W: SimWord> FaultOverlay<W> {
     /// A batched overlay with fault `k` assigned to lane `k`. Lanes
     /// beyond `faults.len()` are fault-free (useful as a golden lane).
     ///
     /// # Panics
     /// Panics if `faults.len() > W::LANES` or on malformed specs.
-    pub fn batched(program: Arc<SimProgram>, faults: &[FaultSpec]) -> OverlaySim<W> {
+    pub fn batched(program: Arc<SimProgram>, faults: &[FaultSpec]) -> FaultOverlay<W> {
         assert!(
             faults.len() <= W::LANES,
             "{} faults exceed the {}-lane batch width",
@@ -156,135 +155,67 @@ impl<W: SimWord> OverlaySim<W> {
         )
     }
 
-    /// The shared tape this overlay executes.
+    /// The shared tape the faults were resolved against.
     pub fn program(&self) -> &Arc<SimProgram> {
         &self.program
     }
 
-    /// Drives every lane of the named input port with the same `value`
-    /// (the campaign pattern: one index across all faults).
-    ///
-    /// # Panics
-    /// Panics if the port does not exist or `value` does not fit it.
-    pub fn set_input_all_lanes_u64(&mut self, name: &str, value: u64) {
-        let program = Arc::clone(&self.program);
-        let slots = program.input_slots(name);
+    /// The tape and value array of `sim`, checked to be this overlay's
+    /// program (fault slots mean nothing on another tape).
+    fn tape<'a>(&self, sim: &'a mut BatchSim<W>) -> (&'a SimProgram, &'a mut [W]) {
+        let (program, values) = sim.tape_mut();
         assert!(
-            slots.len() >= 64 || value >> slots.len() == 0,
-            "value {value:#x} does not fit input port {name:?} ({} bits)",
-            slots.len()
+            std::ptr::eq(program, Arc::as_ptr(&self.program)),
+            "fault overlay applied to a BatchSim over a different SimProgram \
+             (build the simulator from the overlay's program)"
         );
-        for (bit, &slot) in slots.iter().enumerate() {
-            self.values[slot as usize] = W::splat((value >> bit) & 1 == 1);
-        }
+        (program, values)
     }
 
-    /// Drives the named input port bit-by-bit with prepacked lane
-    /// words, one word per port bit (the `WideExpectation` layout).
+    /// Combinational settle of `sim` under the fault overlay. Note that
+    /// bridge faults overwrite the bridged input slots, so drive input
+    /// ports before *every* `eval`, as a hardware testbench would.
     ///
     /// # Panics
-    /// Panics if the port does not exist or `words` has the wrong width.
-    pub fn set_input_words(&mut self, name: &str, words: &[W]) {
-        let program = Arc::clone(&self.program);
-        let slots = program.input_slots(name);
-        assert!(
-            words.len() == slots.len(),
-            "{} words do not match input port {name:?} ({} bits)",
-            words.len(),
-            slots.len()
-        );
-        for (&slot, &w) in slots.iter().zip(words) {
-            self.values[slot as usize] = w;
-        }
-    }
-
-    /// Reads the named output port as one lane word per port bit.
-    ///
-    /// # Panics
-    /// Panics if the port does not exist.
-    pub fn read_output_words(&self, name: &str) -> Vec<W> {
-        self.program
-            .output_slots(name)
-            .iter()
-            .map(|&slot| self.values[slot as usize])
-            .collect()
-    }
-
-    /// Extracts one lane of the named output port as a `u64`
-    /// (LSB-first).
-    ///
-    /// # Panics
-    /// Panics if the port does not exist, is wider than 64 bits, or
-    /// `lane >= W::LANES`.
-    pub fn read_output_lane_u64(&self, name: &str, lane: usize) -> u64 {
-        assert!(
-            lane < W::LANES,
-            "lane {lane} out of range for the {}-lane batch",
-            W::LANES
-        );
-        let slots = self.program.output_slots(name);
-        assert!(
-            slots.len() <= 64,
-            "output port {name:?} ({} bits) does not fit a u64",
-            slots.len()
-        );
-        slots.iter().enumerate().fold(0u64, |acc, (bit, &slot)| {
-            acc | ((self.values[slot as usize].lane(lane) as u64) << bit)
-        })
-    }
-
-    /// Bridge shorts and state-slot forces, applied before the wave.
-    fn apply_pre(&mut self) {
+    /// Panics if `sim` does not run [`FaultOverlay::program`].
+    pub fn eval(&self, sim: &mut BatchSim<W>) {
+        let (program, values) = self.tape(sim);
         for br in &self.bridges {
-            let and = (self.values[br.a_slot] & self.values[br.b_slot]) & br.mask;
-            self.values[br.a_slot] = (self.values[br.a_slot] & !br.mask) | and;
-            self.values[br.b_slot] = (self.values[br.b_slot] & !br.mask) | and;
+            let and = (values[br.a_slot] & values[br.b_slot]) & br.mask;
+            values[br.a_slot] = (values[br.a_slot] & !br.mask) | and;
+            values[br.b_slot] = (values[br.b_slot] & !br.mask) | and;
         }
         for sf in &self.state {
-            self.values[sf.slot] = (self.values[sf.slot] & !sf.mask) | sf.value;
+            values[sf.slot] = (values[sf.slot] & !sf.mask) | sf.value;
         }
-    }
-
-    /// Combinational settle under the fault overlay. Note that bridge
-    /// faults overwrite the bridged input slots, so drive input ports
-    /// before *every* `eval`, as a hardware testbench would.
-    pub fn eval(&mut self) {
-        self.apply_pre();
         let mut start = 0;
         for cf in &self.comb {
-            self.program.exec_range(&mut self.values, start..cf.op + 1);
-            self.values[cf.slot] = (self.values[cf.slot] & !cf.mask) | cf.value;
+            program.exec_range(values, start..cf.op + 1);
+            values[cf.slot] = (values[cf.slot] & !cf.mask) | cf.value;
             start = cf.op + 1;
         }
-        self.program
-            .exec_range(&mut self.values, start..self.program.op_count());
+        program.exec_range(values, start..program.op_count());
     }
 
-    /// One clock: settle, capture every DFF, then invert flipped
-    /// register slots (the upset rides the capture path, so it recurs
-    /// on every edge).
-    pub fn step(&mut self) {
-        self.eval();
-        self.program.latch(&mut self.values, &mut self.scratch);
+    /// One clock of `sim`: faulted settle, capture every DFF, then
+    /// invert flipped register slots (the upset rides the capture path,
+    /// so it recurs on every edge). A plain [`BatchSim::reset`] is the
+    /// faulted reset too: the upset model corrupts captures, not the
+    /// asynchronous reset network.
+    ///
+    /// # Panics
+    /// Panics if `sim` does not run [`FaultOverlay::program`].
+    pub fn step(&self, sim: &mut BatchSim<W>) {
+        self.eval(sim);
+        sim.latch();
+        let (_, values) = self.tape(sim);
         for fl in &self.flips {
-            self.values[fl.slot] = self.values[fl.slot] ^ fl.mask;
+            values[fl.slot] = values[fl.slot] ^ fl.mask;
         }
-    }
-
-    /// Resets every DFF slot to its init value. Flip faults do not
-    /// apply at reset (the upset model corrupts captures, not the
-    /// asynchronous reset network).
-    pub fn reset(&mut self) {
-        self.program.reset(&mut self.values);
-    }
-
-    /// The settled value of a net.
-    pub fn probe(&self, net: NetId) -> W {
-        self.values[self.program.slot(net)]
     }
 }
 
-impl OverlaySim<bool> {
+impl FaultOverlay<bool> {
     /// A scalar overlay applying all of `faults` at once, every fault
     /// to the single lane. Where two stuck-at faults force the same
     /// net, the later one in the spec list wins.
@@ -294,46 +225,12 @@ impl OverlaySim<bool> {
     pub fn new(program: Arc<SimProgram>, faults: &[FaultSpec]) -> Self {
         build(program, faults.iter().map(|&f| (f, true)))
     }
-
-    /// Drives the named input port with the low bits of `value`
-    /// (LSB-first, like the plain simulators).
-    ///
-    /// # Panics
-    /// Panics if the port does not exist or `value` does not fit it.
-    pub fn set_input_u64(&mut self, name: &str, value: u64) {
-        let program = Arc::clone(&self.program);
-        let slots = program.input_slots(name);
-        assert!(
-            slots.len() >= 64 || value >> slots.len() == 0,
-            "value {value:#x} does not fit input port {name:?} ({} bits)",
-            slots.len()
-        );
-        for (bit, &slot) in slots.iter().enumerate() {
-            self.values[slot as usize] = (value >> bit) & 1 == 1;
-        }
-    }
-
-    /// Reads the named output port as a `u64` (LSB-first).
-    ///
-    /// # Panics
-    /// Panics if the port does not exist or is wider than 64 bits.
-    pub fn read_output_u64(&self, name: &str) -> u64 {
-        let slots = self.program.output_slots(name);
-        assert!(
-            slots.len() <= 64,
-            "output port {name:?} ({} bits) does not fit a u64",
-            slots.len()
-        );
-        slots.iter().enumerate().fold(0u64, |acc, (bit, &slot)| {
-            acc | (u64::from(self.values[slot as usize]) << bit)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwperm_logic::Builder;
+    use hwperm_logic::{Builder, NetId};
 
     /// 4-bit adder with a carry-out — pure combinational.
     fn adder() -> Arc<SimProgram> {
@@ -347,11 +244,12 @@ mod tests {
     }
 
     fn adder_sum(program: &Arc<SimProgram>, faults: &[FaultSpec], x: u64, y: u64) -> u64 {
-        let mut sim = OverlaySim::<bool>::new(Arc::clone(program), faults);
+        let overlay = FaultOverlay::new(Arc::clone(program), faults);
+        let mut sim = BatchSim::from_program(Arc::clone(program));
         sim.set_input_u64("x", x);
         sim.set_input_u64("y", y);
-        sim.eval();
-        sim.read_output_u64("s") | (sim.read_output_u64("c") << 4)
+        overlay.eval(&mut sim);
+        sim.read_output_lane_u64("s", 0) | (sim.read_output_lane_u64("c", 0) << 4)
     }
 
     #[test]
@@ -421,18 +319,27 @@ mod tests {
         b.output_bus("y", &[q]);
         let program = SimProgram::compile_shared(b.finish());
         let dff_net = NetId::forged(1);
-        let mut sim =
-            OverlaySim::<bool>::new(Arc::clone(&program), &[FaultSpec::DffFlip { net: dff_net }]);
+        let overlay =
+            FaultOverlay::new(Arc::clone(&program), &[FaultSpec::DffFlip { net: dff_net }]);
+        let mut sim = BatchSim::from_program(program);
         sim.set_input_u64("x", 1);
-        sim.step();
-        sim.eval();
-        assert_eq!(sim.read_output_u64("y"), 0, "captured 1, flipped to 0");
+        overlay.step(&mut sim);
+        overlay.eval(&mut sim);
+        assert_eq!(
+            sim.read_output_lane_u64("y", 0),
+            0,
+            "captured 1, flipped to 0"
+        );
         sim.set_input_u64("x", 0);
-        sim.step();
-        sim.eval();
-        assert_eq!(sim.read_output_u64("y"), 1, "captured 0, flipped to 1");
+        overlay.step(&mut sim);
+        overlay.eval(&mut sim);
+        assert_eq!(
+            sim.read_output_lane_u64("y", 0),
+            1,
+            "captured 0, flipped to 1"
+        );
         sim.reset();
-        assert_eq!(sim.read_output_u64("y"), 0, "reset is not flipped");
+        assert_eq!(sim.read_output_lane_u64("y", 0), 0, "reset is not flipped");
     }
 
     #[test]
@@ -452,11 +359,12 @@ mod tests {
                 b: NetId::forged(5),
             },
         ];
-        let mut batch = OverlaySim::<u64>::batched(Arc::clone(&program), &faults);
+        let overlay = FaultOverlay::<u64>::batched(Arc::clone(&program), &faults);
+        let mut batch = BatchSim::from_program(Arc::clone(&program));
         for (x, y) in [(0u64, 0u64), (5, 10), (15, 1), (7, 7)] {
-            batch.set_input_all_lanes_u64("x", x);
-            batch.set_input_all_lanes_u64("y", y);
-            batch.eval();
+            batch.set_input_u64("x", x);
+            batch.set_input_u64("y", y);
+            overlay.eval(&mut batch);
             for (k, fault) in faults.iter().enumerate() {
                 let got =
                     batch.read_output_lane_u64("s", k) | (batch.read_output_lane_u64("c", k) << 4);
@@ -493,7 +401,7 @@ mod tests {
                 value: false,
             })
             .collect();
-        let _ = OverlaySim::<u64>::batched(program, &faults);
+        let _ = FaultOverlay::<u64>::batched(program, &faults);
     }
 
     #[test]
@@ -519,19 +427,21 @@ mod tests {
             })
             .collect();
         assert!(faults.len() > 64, "universe must overflow a u64 batch");
-        let mut batch = OverlaySim::<W256>::batched(Arc::clone(&program), &faults);
+        let overlay = FaultOverlay::<W256>::batched(Arc::clone(&program), &faults);
+        let mut batch = BatchSim::from_program(Arc::clone(&program));
         for (x, y) in [(0u64, 0u64), (137, 66), (255, 255)] {
-            batch.set_input_all_lanes_u64("x", x);
-            batch.set_input_all_lanes_u64("y", y);
-            batch.eval();
+            batch.set_input_u64("x", x);
+            batch.set_input_u64("y", y);
+            overlay.eval(&mut batch);
             for (k, fault) in faults.iter().enumerate() {
                 let got =
                     batch.read_output_lane_u64("s", k) | (batch.read_output_lane_u64("c", k) << 8);
-                let mut scalar = OverlaySim::<bool>::new(Arc::clone(&program), &[*fault]);
+                let mut scalar = BatchSim::<bool>::from_program(Arc::clone(&program));
                 scalar.set_input_u64("x", x);
                 scalar.set_input_u64("y", y);
-                scalar.eval();
-                let want = scalar.read_output_u64("s") | (scalar.read_output_u64("c") << 8);
+                FaultOverlay::new(Arc::clone(&program), &[*fault]).eval(&mut scalar);
+                let want = scalar.read_output_lane_u64("s", 0)
+                    | (scalar.read_output_lane_u64("c", 0) << 8);
                 assert_eq!(got, want, "lane {k} ({fault}), x = {x}, y = {y}");
             }
         }
@@ -548,6 +458,21 @@ mod tests {
                 value: false,
             })
             .collect();
-        let _ = OverlaySim::<W256>::batched(program, &faults);
+        let _ = FaultOverlay::<W256>::batched(program, &faults);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "fault overlay applied to a BatchSim over a different SimProgram \
+                               (build the simulator from the overlay's program)"
+    )]
+    fn overlay_rejects_a_simulator_over_another_program() {
+        // Two compiles of one netlist are equal tapes but not the same
+        // program: fault slots are only meaningful on the tape they
+        // were resolved against, so the overlay demands that one.
+        let program = adder();
+        let overlay = FaultOverlay::new(Arc::clone(&program), &[]);
+        let mut sim = BatchSim::<bool>::new(program.netlist().clone());
+        overlay.eval(&mut sim);
     }
 }

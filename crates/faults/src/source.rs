@@ -1,14 +1,15 @@
 //! A fault-injected Knuth-shuffle stream: the Fig. 3 generator run
-//! through a scalar [`OverlaySim`] overlay, exposed as a
+//! under a scalar [`FaultOverlay`], exposed as a
 //! [`RandomPermSource`] so the guarded-stream layer in `hwperm-core`
 //! can be exercised against genuine circuit-level corruption.
 
-use crate::overlay::OverlaySim;
+use crate::overlay::FaultOverlay;
 use crate::spec::FaultSpec;
 use hwperm_circuits::{shuffle_netlist, ShuffleOptions};
 use hwperm_core::RandomPermSource;
-use hwperm_logic::{Gate, NetId, Netlist, SimProgram};
+use hwperm_logic::{BatchSim, Gate, NetId, Netlist, SimProgram};
 use hwperm_perm::Permutation;
+use std::sync::Arc;
 
 /// The Fig. 3 Knuth-shuffle generator with injected faults, streaming
 /// packed permutation words that may be corrupt.
@@ -24,7 +25,8 @@ use hwperm_perm::Permutation;
 /// a non-permutation.
 #[derive(Debug)]
 pub struct FaultyShuffleSource {
-    sim: OverlaySim<bool>,
+    sim: BatchSim<bool>,
+    overlay: FaultOverlay<bool>,
     n: usize,
 }
 
@@ -40,15 +42,16 @@ impl FaultyShuffleSource {
             Permutation::packed_width(n)
         );
         let program = SimProgram::compile_shared(shuffle_netlist(n, options));
-        let mut sim = OverlaySim::new(program, faults);
-        sim.eval();
+        let overlay = FaultOverlay::new(Arc::clone(&program), faults);
+        let mut sim = BatchSim::from_program(program);
+        overlay.eval(&mut sim);
         if options.pipelined {
             for _ in 0..n - 1 {
-                sim.step();
+                overlay.step(&mut sim);
             }
-            sim.eval();
+            overlay.eval(&mut sim);
         }
-        FaultyShuffleSource { sim, n }
+        FaultyShuffleSource { sim, overlay, n }
     }
 
     /// The nets of every element-pipeline register in a pipelined
@@ -84,9 +87,9 @@ impl RandomPermSource for FaultyShuffleSource {
     }
 
     fn next_packed_u64(&mut self) -> u64 {
-        let word = self.sim.read_output_u64("perm");
-        self.sim.step();
-        self.sim.eval();
+        let word = self.sim.read_output_lane_u64("perm", 0);
+        self.overlay.step(&mut self.sim);
+        self.overlay.eval(&mut self.sim);
         word
     }
 }

@@ -62,7 +62,7 @@ impl fmt::Display for FaultSpec {
 }
 
 /// A [`FaultSpec`] translated into tape coordinates, ready for the
-/// overlay executors.
+/// fault overlays.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ResolvedFault {
     /// Force a combinational op's output slot right after the op runs.

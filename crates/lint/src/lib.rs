@@ -28,9 +28,9 @@
 //! | `const-output`   | Info  | output port bits tied to constants |
 //!
 //! Every lint can be suppressed or promoted per run via [`LintConfig`].
-//! [`LintReport`] renders human-readable text ([`std::fmt::Display`])
-//! or JSON ([`LintReport::to_json`]); `hwperm lint` in the CLI wraps
-//! both.
+//! [`LintReport`] renders human-readable text ([`std::fmt::Display`]);
+//! `hwperm lint` in the CLI prints that, or renders each report as a
+//! row of its shared `--json` envelope.
 
 use hwperm_logic::{Gate, NetId, Netlist, StructuralIssue};
 use hwperm_verify::{
@@ -297,41 +297,6 @@ impl LintReport {
     pub fn of(&self, lint: LintId) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(move |d| d.lint == lint)
     }
-
-    /// Renders the report as a single JSON object (hand-rolled — the
-    /// workspace is offline and carries no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"errors\":{},\"warnings\":{},\"infos\":{},\"diagnostics\":[",
-            self.error_count(),
-            self.count(Severity::Warn),
-            self.count(Severity::Info)
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"lint\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"nets\":[{}],\"ports\":[{}]}}",
-                d.lint,
-                d.severity,
-                json_escape(&d.message),
-                d.nets
-                    .iter()
-                    .map(|n| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                d.ports
-                    .iter()
-                    .map(|p| format!("\"{}\"", json_escape(p)))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl fmt::Display for LintReport {
@@ -347,20 +312,6 @@ impl fmt::Display for LintReport {
             self.count(Severity::Info)
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// How many offending nets a single diagnostic lists before truncating.
@@ -1087,21 +1038,6 @@ mod tests {
         let report = lint_netlist(&broken);
         assert!(report.of(LintId::CombCycle).count() >= 1, "{report}");
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn json_output_is_well_formed() {
-        // An unused bit on a port with a quote in its name exercises
-        // both the diagnostics array and the string escaping.
-        let mut b = Builder::new();
-        let x = b.input_bus("x\"quoted", 2);
-        b.output_bus("y", &[x[0]]);
-        let report = lint_netlist(&b.finish());
-        assert_eq!(report.of(LintId::UnusedInput).count(), 1);
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\\\"quoted"));
-        assert!(json.contains("\"warnings\":1"));
     }
 
     /// A decoder bank over adder sum bits with `record_one_hot_bank`:

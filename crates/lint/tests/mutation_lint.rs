@@ -362,12 +362,12 @@ fn mutation_sweep_one_hot_verdicts_match_simulation() {
 /// the lint verdict to a functional fault, not just a structural one.
 #[test]
 fn stuck_select_is_a_real_functional_fault() {
-    use hwperm_logic::Simulator;
+    use hwperm_logic::BatchSim;
     let nl = clean_converter();
     let victim = nl.one_hot_banks()[0][0].index();
     let bogus = nl.with_gate_replaced(victim, Gate::Const(true));
-    let mut good = Simulator::new(clean_converter());
-    let mut bad = Simulator::new(bogus);
+    let mut good = BatchSim::<bool>::new(clean_converter());
+    let mut bad = BatchSim::<bool>::new(bogus);
     let mut differs = false;
     for i in 0..24u64 {
         good.set_input("index", &Ubig::from(i));

@@ -348,7 +348,7 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
+    use crate::BatchSim;
 
     /// Builds a 2-input combinational fixture, evaluates it on `(a, b)`,
     /// and returns the `out` port value.
@@ -364,7 +364,7 @@ mod tests {
         let bb = builder.input_bus("b", wb);
         let out = f(&mut builder, &ba, &bb);
         builder.output_bus("out", &out);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         sim.set_input("a", &Ubig::from(a));
         sim.set_input("b", &Ubig::from(b));
         sim.eval();
@@ -397,7 +397,7 @@ mod tests {
                 let (diff, ok) = builder.sub(&ba, &bb);
                 builder.output_bus("diff", &diff);
                 builder.output_bus("ok", &[ok]);
-                let mut sim = Simulator::new(builder.finish());
+                let mut sim = BatchSim::<bool>::new(builder.finish());
                 sim.set_input("a", &Ubig::from(a));
                 sim.set_input("b", &Ubig::from(b));
                 sim.eval();
@@ -417,7 +417,7 @@ mod tests {
             let ba = builder.input_bus("a", 4);
             let cmp = builder.ge_const(&ba, &Ubig::from(c));
             builder.output_bus("out", &[cmp]);
-            let mut sim = Simulator::new(builder.finish());
+            let mut sim = BatchSim::<bool>::new(builder.finish());
             for a in 0..16u64 {
                 sim.set_input("a", &Ubig::from(a));
                 sim.eval();
@@ -461,7 +461,7 @@ mod tests {
         let sel = builder.input_bus("sel", 3);
         let onehot = builder.decoder(&sel, 6);
         builder.output_bus("oh", &onehot);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         for v in 0..8u64 {
             sim.set_input("sel", &Ubig::from(v));
             sim.eval();
@@ -483,7 +483,7 @@ mod tests {
         let c2 = builder.constant_bus(4, &Ubig::from(14u64));
         let out = builder.one_hot_mux(&sel, &[&c0, &c1, &c2]);
         builder.output_bus("out", &out);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         for (hot, expect) in [(0b001u64, 5u64), (0b010, 9), (0b100, 14), (0b000, 0)] {
             sim.set_input("sel", &Ubig::from(hot));
             sim.eval();
@@ -501,7 +501,7 @@ mod tests {
         let refs: Vec<&[NetId]> = choices.iter().map(|c| c.as_slice()).collect();
         let out = builder.binary_mux(&sel, &refs);
         builder.output_bus("out", &out);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         for v in 0..3u64 {
             sim.set_input("sel", &Ubig::from(v));
             sim.eval();
@@ -520,7 +520,7 @@ mod tests {
             let a = builder.input_bus("a", 8);
             let p = builder.mul_const(&a, &Ubig::from(k));
             builder.output_bus("out", &p);
-            let mut sim = Simulator::new(builder.finish());
+            let mut sim = BatchSim::<bool>::new(builder.finish());
             for a_val in [0u64, 1, 7, 100, 255] {
                 sim.set_input("a", &Ubig::from(a_val));
                 sim.eval();
@@ -539,7 +539,7 @@ mod tests {
         let a = builder.input_bus("a", 8);
         let pc = builder.popcount(&a);
         builder.output_bus("pc", &pc);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         for v in 0..256u64 {
             sim.set_input("a", &Ubig::from(v));
             sim.eval();
@@ -558,7 +558,7 @@ mod tests {
             let a = builder.input_bus("a", w);
             let pc = builder.popcount(&a);
             builder.output_bus("pc", &pc);
-            let mut sim = Simulator::new(builder.finish());
+            let mut sim = BatchSim::<bool>::new(builder.finish());
             let all = (1u64 << w) - 1;
             sim.set_input("a", &Ubig::from(all));
             sim.eval();
@@ -574,7 +574,7 @@ mod tests {
         let all = builder.and_reduce(&a);
         builder.output_bus("any", &[any]);
         builder.output_bus("all", &[all]);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         for v in 0..16u64 {
             sim.set_input("a", &Ubig::from(v));
             sim.eval();

@@ -20,25 +20,24 @@
 //! - [`SimProgram`]: a compile-once, run-anywhere simulation tape — the
 //!   netlist lowered into an immutable, levelized structure-of-arrays
 //!   opcode stream with flat value slots, precomputed port slot maps and
-//!   DFF slot pairs. Both simulators execute it; `Arc<SimProgram>` lets
-//!   many instances (including worker threads in `hwperm-verify`) share
-//!   one compilation.
-//! - [`Simulator`]: bit-accurate evaluation; [`Simulator::step`] models
-//!   one clock edge (combinational settle, then DFFs latch), so
-//!   pipelined circuits exhibit their real latency and one-result-per-
-//!   clock throughput.
-//! - [`BatchSim`]: the word-level counterpart — the same tape run at a
-//!   word instead of `bool`, each lane an independent test vector, so a
-//!   single forward pass of `BatchSim<u64>` simulates [`LANES`] = 64
-//!   input vectors at once (256 or 512 with the wide words). The
-//!   exhaustive verification stack (`hwperm-verify`) is built on it.
+//!   DFF slot pairs. `Arc<SimProgram>` lets many simulators (including
+//!   worker threads in `hwperm-verify`) share one compilation.
+//! - [`BatchSim`]: bit-accurate evaluation of the tape at any
+//!   [`SimWord`] width, each lane an independent test vector.
+//!   `BatchSim<bool>` is the scalar simulator; one forward pass of
+//!   `BatchSim<u64>` simulates [`LANES`] = 64 input vectors at once
+//!   (256 or 512 with the wide words). [`BatchSim::step`] models one
+//!   clock edge (combinational settle, then DFFs latch), so pipelined
+//!   circuits exhibit their real latency and one-result-per-clock
+//!   throughput. The exhaustive verification stack (`hwperm-verify`)
+//!   and the fault overlays (`hwperm-faults`) are built on it.
 //! - [`tech`]: the stand-in for the FPGA tool reports behind Tables
 //!   III/IV — greedy ≤6-input LUT cone packing, a Stratix-IV-style ALM
 //!   packing estimate, register counts, and a logic-depth-based Fmax
 //!   model.
 //!
 //! ```
-//! use hwperm_logic::{Builder, Simulator};
+//! use hwperm_logic::{BatchSim, Builder};
 //! use hwperm_bignum::Ubig;
 //!
 //! let mut b = Builder::new();
@@ -47,7 +46,7 @@
 //! let (sum, _carry) = b.add(&a, &c);
 //! b.output_bus("sum", &sum);
 //!
-//! let mut sim = Simulator::new(b.finish());
+//! let mut sim = BatchSim::<bool>::new(b.finish());
 //! sim.set_input("a", &Ubig::from(37u64));
 //! sim.set_input("b", &Ubig::from(5u64));
 //! sim.eval();
@@ -60,7 +59,6 @@ mod builder;
 mod buses;
 mod netlist;
 mod program;
-mod sim;
 pub mod tech;
 pub mod vcd;
 pub mod verilog;
@@ -70,7 +68,6 @@ pub use blif::to_blif;
 pub use builder::{Builder, Bus};
 pub use netlist::{Gate, NetId, Netlist, Port, StructuralIssue};
 pub use program::{DffSlotPair, SimProgram, SimWord, TapeOp, TapeStats, Wide, W256, W512};
-pub use sim::Simulator;
 pub use tech::{ResourceReport, TimingModel};
 pub use vcd::Tracer;
 pub use verilog::{to_testbench, to_verilog};

@@ -55,7 +55,7 @@ pub enum Gate {
         b: NetId,
     },
     /// D flip-flop: output is the registered value; `d` is latched on
-    /// every [`crate::Simulator::step`]. Reset value is `init`.
+    /// every [`crate::BatchSim::step`]. Reset value is `init`.
     Dff {
         /// Data input.
         d: NetId,

@@ -1,7 +1,6 @@
 //! The compiled simulation tape: a [`Netlist`] lowered once into an
-//! immutable, levelized, structure-of-arrays gate program that the
-//! scalar [`crate::Simulator`] and the word-level
-//! [`crate::BatchSim`] execute.
+//! immutable, levelized, structure-of-arrays gate program that
+//! [`crate::BatchSim`] executes at every lane width.
 //!
 //! Motivation: the original simulators re-walked the `Netlist` on every
 //! `eval`, paying a `Gate` enum match plus `NetId` indirection per gate
@@ -44,13 +43,13 @@
 //!   ops one-for-one (fault-site resolution in `hwperm-faults`, VCD
 //!   tracing, CNF encoding of a specific netlist shape) keep the
 //!   canonical tape.
-//! - **Level-blocked execution** — [`SimProgram::exec`] walks the tape
-//!   in precomputed blocks of consecutive levels sized so one block's
-//!   op metadata and wide-word operands fit in L1, instead of one
-//!   monolithic sweep. Any ascending contiguous segmentation of the
-//!   tape is semantically identical (see [`SimProgram::exec_range`]),
-//!   so blocking is purely a locality decision; oversized levels are
-//!   split at the budget boundary.
+//! - **Level-blocked execution** — a settle ([`crate::BatchSim::eval`])
+//!   walks the tape in precomputed blocks of consecutive levels sized so
+//!   one block's op metadata and wide-word operands fit in L1, instead of
+//!   one monolithic sweep. Any ascending contiguous segmentation of the
+//!   tape is semantically identical (see [`SimProgram::exec_range`]), so
+//!   blocking is purely a locality decision; oversized levels are split
+//!   at the budget boundary.
 //!
 //! The program is immutable after compilation and intended to be shared
 //! across threads via `Arc<SimProgram>`: per-simulator state shrinks to
@@ -421,8 +420,8 @@ impl OpCode {
 /// One tape op decoded for external analyzers (the CNF encoder in
 /// `hwperm-sat`, fault-site enumeration, …). All operands are
 /// value-array slots, already resolved — an analyzer walking
-/// [`SimProgram::op`] in tape order sees exactly the data flow
-/// [`SimProgram::exec`] executes, with op `j` defining slot
+/// [`SimProgram::op`] in tape order sees exactly the data flow a
+/// settle executes, with op `j` defining slot
 /// `comb_base() + j`. The variants past `Mux` are fused opcodes and
 /// only appear on tapes from [`SimProgram::compile_fused`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -540,7 +539,7 @@ pub struct TapeStats {
     pub ops: usize,
     /// Logic levels in the tape.
     pub levels: usize,
-    /// Level blocks [`SimProgram::exec`] walks.
+    /// Level blocks a settle walks.
     pub blocks: usize,
     /// Combinational gate count of the source netlist — the op count
     /// an unfused compile of the same netlist produces.
@@ -1149,7 +1148,8 @@ impl SimProgram {
         self.level_starts.len() - 1
     }
 
-    /// Number of level blocks [`SimProgram::exec`] walks.
+    /// Number of level blocks a settle ([`crate::BatchSim::eval`])
+    /// walks.
     pub fn block_count(&self) -> usize {
         self.block_starts.len() - 1
     }
@@ -1204,7 +1204,7 @@ impl SimProgram {
     /// First combinational slot: slots `0..comb_base()` hold state
     /// (inputs, constants, DFF outputs, in creation order), and tape op
     /// `j` writes slot `comb_base() + j`. External tape drivers (the
-    /// fault-overlay executors in `hwperm-faults`) use this to translate
+    /// fault overlays in `hwperm-faults`) use this to translate
     /// a combinational net's slot into its tape-op position.
     #[inline]
     pub fn comb_base(&self) -> usize {
@@ -1212,7 +1212,8 @@ impl SimProgram {
     }
 
     /// `true` iff the net is a DFF output (its slot is a register state
-    /// slot that [`SimProgram::latch`] overwrites on every clock edge).
+    /// slot that [`crate::BatchSim::latch`] overwrites on every clock
+    /// edge).
     ///
     /// # Panics
     /// Panics if the net is out of range for the source netlist.
@@ -1222,7 +1223,7 @@ impl SimProgram {
 
     /// A fresh per-instance value array: all-zero except baked
     /// constants and DFF reset values.
-    pub fn initial_values<W: SimWord>(&self) -> Vec<W> {
+    pub(crate) fn initial_values<W: SimWord>(&self) -> Vec<W> {
         let mut values = vec![W::splat(false); self.slot_count()];
         for &(slot, c) in &self.consts {
             values[slot as usize] = W::splat(c);
@@ -1239,7 +1240,7 @@ impl SimProgram {
     /// slots are read, never written; constant slots were baked at
     /// construction.
     #[inline]
-    pub fn exec<W: SimWord>(&self, values: &mut [W]) {
+    pub(crate) fn exec<W: SimWord>(&self, values: &mut [W]) {
         for w in self.block_starts.windows(2) {
             self.exec_range(values, w[0] as usize..w[1] as usize);
         }
@@ -1250,7 +1251,8 @@ impl SimProgram {
     /// driver interpose on the wave mid-tape: run `0..j+1`, overwrite op
     /// `j`'s output slot, then run `j+1..op_count()` — the mechanism
     /// behind `hwperm-faults`' non-destructive stuck-at overlays. The
-    /// full-tape [`SimProgram::exec`] is this over the level blocks.
+    /// full-tape settle ([`crate::BatchSim::eval`]) is this over the
+    /// level blocks.
     ///
     /// Correctness requires segments be executed in ascending,
     /// contiguous order starting at 0 (the tape is levelized, so op `j`
@@ -1297,7 +1299,7 @@ impl SimProgram {
     /// slot. Two-phase through `scratch` so flop-to-flop chains all
     /// sample the pre-edge wave, exactly like the gate-walking
     /// simulators did with their separate state array.
-    pub fn latch<W: SimWord>(&self, values: &mut [W], scratch: &mut Vec<W>) {
+    pub(crate) fn latch<W: SimWord>(&self, values: &mut [W], scratch: &mut Vec<W>) {
         scratch.clear();
         scratch.extend(self.dffs.iter().map(|d| values[d.d as usize]));
         for (d, &v) in self.dffs.iter().zip(scratch.iter()) {
@@ -1307,7 +1309,7 @@ impl SimProgram {
 
     /// Resets every DFF slot to its `init` value (other slots are left
     /// as they are, like the pre-tape simulators).
-    pub fn reset<W: SimWord>(&self, values: &mut [W]) {
+    pub(crate) fn reset<W: SimWord>(&self, values: &mut [W]) {
         for d in &self.dffs {
             values[d.q as usize] = W::splat(d.init);
         }
@@ -1346,7 +1348,7 @@ impl SimProgram {
     }
 
     /// Iterates the DFF slot pairs, in creation order — the same order
-    /// [`SimProgram::latch`] processes them.
+    /// [`crate::BatchSim::latch`] processes them.
     pub fn dff_slot_pairs(&self) -> impl Iterator<Item = DffSlotPair> + '_ {
         self.dffs.iter().map(|d| DffSlotPair {
             q: d.q,
@@ -1355,20 +1357,27 @@ impl SimProgram {
         })
     }
 
-    /// Slots of the named input port, with the same panic diagnostics
-    /// as the simulators' `set_input` (port name plus every known input
-    /// and its width).
+    /// Slots of the named input port.
     ///
     /// # Panics
-    /// Panics if the port does not exist.
+    /// Panics if the port does not exist, naming every known input and
+    /// its width — the diagnostic every `BatchSim` input driver gives.
     #[inline]
     pub fn input_slots(&self, name: &str) -> &[u32] {
         match self.inputs.iter().find(|p| p.name == name) {
             Some(p) => &p.slots,
             None => {
-                // Delegate to the shared lookup for the exact message.
-                crate::sim::lookup_input_port(&self.netlist, name);
-                unreachable!("lookup panics when the slot map has no entry")
+                let known: Vec<String> = self
+                    .inputs
+                    .iter()
+                    .map(|p| format!("{:?} ({} bits)", p.name, p.slots.len()))
+                    .collect();
+                let known = if known.is_empty() {
+                    "none".to_string()
+                } else {
+                    known.join(", ")
+                };
+                panic!("no input port named {name:?} (inputs: {known})")
             }
         }
     }
@@ -1495,7 +1504,7 @@ mod tests {
     fn segmented_exec_matches_full_exec() {
         // Splitting the tape at every position and overwriting nothing
         // must reproduce the one-shot wave exactly — the contract the
-        // fault-overlay executors rely on.
+        // fault overlays rely on.
         let p = SimProgram::compile(adder());
         let mut reference: Vec<bool> = p.initial_values();
         let x = p.input_slots("x").to_vec();

@@ -7,7 +7,7 @@
 //! clock — the visual counterpart of the paper's throughput claim.
 
 use crate::netlist::Port;
-use crate::{NetId, Netlist, Simulator};
+use crate::{BatchSim, NetId, Netlist};
 use std::fmt::Write as _;
 
 /// Records per-cycle values of selected ports for VCD export.
@@ -62,7 +62,7 @@ impl Tracer {
 
     /// Records the current value of every traced port. Call once per
     /// clock, after `sim.eval()`.
-    pub fn sample(&mut self, sim: &Simulator) {
+    pub fn sample(&mut self, sim: &BatchSim<bool>) {
         let row = self
             .signals
             .iter()
@@ -129,7 +129,7 @@ mod tests {
     use super::*;
     use crate::Builder;
 
-    fn toggler() -> (Simulator, Tracer) {
+    fn toggler() -> (BatchSim<bool>, Tracer) {
         let mut b = Builder::new();
         let q = b.dff_deferred(false);
         let nq = b.not(q);
@@ -139,7 +139,7 @@ mod tests {
         b.output_bus("y", &x);
         let nl = b.finish();
         let tracer = Tracer::new(&nl, &["q", "y"]);
-        (Simulator::new(nl), tracer)
+        (BatchSim::<bool>::new(nl), tracer)
     }
 
     #[test]

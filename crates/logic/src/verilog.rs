@@ -312,9 +312,9 @@ mod tests {
 
     #[test]
     fn testbench_from_simulated_vectors() {
-        use crate::Simulator;
+        use crate::BatchSim;
         let nl = adder_netlist();
-        let mut sim = Simulator::new(nl.clone());
+        let mut sim = BatchSim::<bool>::new(nl.clone());
         let vectors: Vec<_> = [(3u64, 4u64), (15, 15), (0, 0)]
             .iter()
             .map(|&(x, y)| {

@@ -2,7 +2,7 @@
 //! integer arithmetic on random operands and widths.
 
 use hwperm_bignum::Ubig;
-use hwperm_logic::{Builder, Simulator};
+use hwperm_logic::{BatchSim, Builder};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,7 +15,7 @@ proptest! {
         let bb = builder.input_bus("b", w);
         let sum = builder.add_expand(&ba, &bb);
         builder.output_bus("s", &sum);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         sim.set_input_u64("a", a);
         sim.set_input_u64("b", b);
         sim.eval();
@@ -32,7 +32,7 @@ proptest! {
         let (diff, ok) = builder.sub(&ba, &bb);
         builder.output_bus("d", &diff);
         builder.output_bus("ok", &[ok]);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         sim.set_input_u64("a", a);
         sim.set_input_u64("b", b);
         sim.eval();
@@ -52,7 +52,7 @@ proptest! {
         let eq_c = builder.eq_const(&ba, &Ubig::from(c));
         builder.output_bus("ge", &[ge_c]);
         builder.output_bus("eq", &[eq_c]);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         sim.set_input_u64("a", a);
         sim.eval();
         prop_assert_eq!(sim.read_output("ge").to_u64().unwrap() == 1, a >= c);
@@ -67,7 +67,7 @@ proptest! {
         let ba = builder.input_bus("a", w);
         let p = builder.mul_const(&ba, &Ubig::from(k));
         builder.output_bus("p", &p);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         sim.set_input_u64("a", a);
         sim.eval();
         prop_assert_eq!(sim.read_output("p").to_u64(), Some(a * k));
@@ -96,7 +96,7 @@ proptest! {
         let refs: Vec<&[hwperm_logic::NetId]> = buses.iter().map(|b| b.as_slice()).collect();
         let out = builder.binary_mux(&bsel, &refs);
         builder.output_bus("out", &out);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         sim.set_input_u64("sel", sel);
         sim.eval();
         prop_assert_eq!(sim.read_output("out").to_u64(), Some(choices[sel as usize]));
@@ -114,7 +114,7 @@ proptest! {
         let bb = builder.input_bus("b", w);
         let sum = builder.add_expand(&ba, &bb);
         builder.output_bus("s", &sum);
-        let mut sim = Simulator::new(builder.finish());
+        let mut sim = BatchSim::<bool>::new(builder.finish());
         sim.set_input("a", &a);
         sim.set_input("b", &b);
         sim.eval();

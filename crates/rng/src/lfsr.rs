@@ -117,7 +117,7 @@ impl GaloisLfsr {
 
 /// Builds the same Fibonacci LFSR as hardware: `m` DFFs in a shift ring
 /// with an XOR-tree feedback into bit 0. Returns the state bus
-/// (LSB-first). Each [`hwperm_logic::Simulator::step`] advances the
+/// (LSB-first). Each [`hwperm_logic::BatchSim::step`] advances the
 /// register exactly like [`Lfsr::step`].
 pub fn build_lfsr(b: &mut Builder, m: usize, seed: u64) -> Bus {
     let taps = max_len_taps(m);
@@ -151,7 +151,7 @@ pub fn build_lfsr(b: &mut Builder, m: usize, seed: u64) -> Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwperm_logic::Simulator;
+    use hwperm_logic::BatchSim;
 
     #[test]
     fn full_period_small_widths() {
@@ -241,7 +241,7 @@ mod tests {
             let mut b = Builder::new();
             let q = build_lfsr(&mut b, m, seed);
             b.output_bus("x", &q);
-            let mut sim = Simulator::new(b.finish());
+            let mut sim = BatchSim::<bool>::new(b.finish());
             let mut sw = Lfsr::new(m, seed);
             // Reset state equals the seed.
             sim.eval();

@@ -159,7 +159,7 @@ impl BiasReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwperm_logic::Simulator;
+    use hwperm_logic::BatchSim;
 
     #[test]
     fn random_integer_range() {
@@ -219,7 +219,7 @@ mod tests {
             let x = b.input_bus("x", m);
             let out = build_random_integer(&mut b, &x, k);
             b.output_bus("i", &out);
-            let mut sim = Simulator::new(b.finish());
+            let mut sim = BatchSim::<bool>::new(b.finish());
             for x_val in 0..(1u64 << m) {
                 sim.set_input_u64("x", x_val);
                 sim.eval();

@@ -103,7 +103,7 @@ mod tests {
             // implicit x^0 term must be even for a primitive polynomial;
             // listed taps are therefore an even count only when the table
             // follows the 2-or-4 convention:
-            assert!(taps.len() % 2 == 0, "width {m} has odd tap count");
+            assert!(taps.len().is_multiple_of(2), "width {m} has odd tap count");
         }
     }
 

@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn encoding_agrees_with_simulator_on_a_mixed_netlist() {
-        use hwperm_logic::Simulator;
+        use hwperm_logic::BatchSim;
         let build = || {
             let mut b = Builder::new();
             let x = b.input_bus("x", 3);
@@ -323,7 +323,7 @@ mod tests {
             b.finish()
         };
         let p = SimProgram::compile(build());
-        let mut sim = Simulator::new(build());
+        let mut sim = BatchSim::<bool>::new(build());
         for xv in 0..8u64 {
             for yv in 0..8u64 {
                 let mut cnf = Cnf::new();

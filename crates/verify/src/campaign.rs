@@ -35,7 +35,7 @@
 
 use crate::exhaustive::port_width_checked;
 use crate::parallel::fan_out;
-use hwperm_faults::{FaultSpec, OverlaySim};
+use hwperm_faults::{FaultOverlay, FaultSpec};
 use hwperm_logic::{BatchSim, NetId, Netlist, SimProgram, SimWord, LANES};
 use std::sync::Arc;
 
@@ -162,7 +162,10 @@ fn campaign_range<W: SimWord>(
 ) -> Vec<FaultVerdict> {
     let mut out = Vec::with_capacity(faults.len());
     for chunk in faults.chunks(W::LANES) {
-        let mut sim = OverlaySim::<W>::batched(Arc::clone(program), chunk);
+        let overlay = FaultOverlay::<W>::batched(Arc::clone(program), chunk);
+        // A fresh value array per chunk: state forces (on constant
+        // slots, say) must not leak into the next chunk's lanes.
+        let mut sim = BatchSim::<W>::from_program(Arc::clone(program));
         let mut first_diverge: Vec<Option<u64>> = vec![None; chunk.len()];
         let mut first_silent: Vec<Option<u64>> = vec![None; chunk.len()];
         // Lanes that might still change their verdict: all of them at
@@ -171,8 +174,8 @@ fn campaign_range<W: SimWord>(
         // in play — a valid divergence seen).
         let mut unresolved = W::mask_lanes(chunk.len());
         for (index, &want) in expected.iter().enumerate() {
-            sim.set_input_all_lanes_u64(input, index as u64);
-            sim.eval();
+            sim.set_input_u64(input, index as u64);
+            overlay.eval(&mut sim);
             let got_words = sim.read_output_words(output);
             let mut diff = W::zero();
             for (bit, &got) in got_words.iter().enumerate() {
@@ -266,8 +269,8 @@ pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
 }
 
 /// Scalar reference implementation of [`stuck_at_campaign_wide`]: one
-/// `OverlaySim<bool>` per fault, one tape walk per (fault, index)
-/// pair. Kept for verdict parity; the repository benchmark times the
+/// `FaultOverlay<bool>` and `BatchSim<bool>` per fault, one tape walk
+/// per (fault, index) pair. Kept for verdict parity; the repository benchmark times the
 /// word-level campaign as `campaign_ms` (see `benchmark/README.md`).
 ///
 /// # Panics
@@ -283,13 +286,14 @@ pub fn stuck_at_campaign_scalar(
     let verdicts = single_stuck_at_universe(netlist)
         .into_iter()
         .map(|fault| {
-            let mut sim = OverlaySim::<bool>::new(Arc::clone(&program), &[fault]);
+            let overlay = FaultOverlay::new(Arc::clone(&program), &[fault]);
+            let mut sim = BatchSim::from_program(Arc::clone(&program));
             let mut first_diverge = None;
             let mut first_silent = None;
             for (index, &want) in expected.iter().enumerate() {
                 sim.set_input_u64(input, index as u64);
-                sim.eval();
-                let got = sim.read_output_u64(output);
+                overlay.eval(&mut sim);
+                let got = sim.read_output_lane_u64(output, 0);
                 if got != want {
                     if first_diverge.is_none() {
                         first_diverge = Some(index as u64);

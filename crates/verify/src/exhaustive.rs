@@ -22,8 +22,7 @@
 //! the oracle module ([`crate::expected_permutation_words`] —
 //! block-decoded, with a thread-sharded variant).
 
-use hwperm_bignum::Ubig;
-use hwperm_logic::{BatchSim, Netlist, SimWord, Simulator, LANES};
+use hwperm_logic::{BatchSim, Netlist, SimWord, LANES};
 use std::fmt;
 
 #[cfg(doc)]
@@ -249,9 +248,10 @@ pub(crate) fn check_batch_range<W: SimWord>(
 }
 
 /// Scalar reference sweep: drives `input` with `0, 1, …,
-/// expected.len() - 1` through a [`Simulator`], one netlist walk per
-/// index, and compares `output` against `expected`. The word-level
-/// sweeps must report exactly its verdict and first-mismatch witness.
+/// expected.len() - 1` through a `BatchSim<bool>` on the canonical
+/// (unfused) tape, one tape walk per index, and compares `output`
+/// against `expected`. The word-level sweeps must report exactly its
+/// verdict and first-mismatch witness.
 ///
 /// # Panics
 /// Panics if either port is missing, the input port cannot represent
@@ -263,14 +263,11 @@ pub fn exhaustive_check_scalar(
     expected: &[u64],
 ) -> Result<(), ExhaustiveMismatch> {
     port_width_checked(netlist, input, output, expected.len());
-    let mut sim = Simulator::new(netlist.clone());
+    let mut sim = BatchSim::<bool>::new(netlist.clone());
     for (index, &want) in expected.iter().enumerate() {
-        sim.set_input(input, &Ubig::from(index as u64));
+        sim.set_input_u64(input, index as u64);
         sim.eval();
-        let got = sim
-            .read_output(output)
-            .to_u64()
-            .expect("output checked <= 64 bits");
+        let got = sim.read_output_lane_u64(output, 0);
         if got != want {
             return Err(ExhaustiveMismatch {
                 index: index as u64,

@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn bdd_eval_matches_simulator() {
-        use hwperm_logic::Simulator;
+        use hwperm_logic::BatchSim;
         let mut b = Builder::new();
         let x = b.input_bus("x", 4);
         let y = b.input_bus("y", 4);
@@ -367,7 +367,7 @@ mod tests {
         b.output_bus("c", &[c]);
         let nl = b.finish();
         let compiled = CompiledNetlist::compile(&nl).unwrap();
-        let mut sim = Simulator::new(nl);
+        let mut sim = BatchSim::<bool>::new(nl);
         for xv in 0..16u64 {
             for yv in 0..16u64 {
                 sim.set_input_u64("x", xv);

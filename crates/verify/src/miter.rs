@@ -13,19 +13,20 @@
 //! become the bottleneck.
 //!
 //! Every refutation is decoded back through the tape: the witness
-//! index is replayed through [`SimProgram::exec`] (and, for sequential
-//! checks, [`SimProgram::latch`]) and reported as the same
-//! [`ExhaustiveMismatch`] the exhaustive sweeps emit, so a SAT
+//! index is replayed on a `BatchSim<bool>` over the encoded program
+//! (settled, and for sequential checks clocked) and reported as the
+//! same [`ExhaustiveMismatch`] the exhaustive sweeps emit, so a SAT
 //! counterexample and a sweep counterexample for the same fault read
 //! identically.
 
 use crate::exhaustive::ExhaustiveMismatch;
 use crate::VerifyError;
-use hwperm_logic::{Netlist, SimProgram};
+use hwperm_logic::{BatchSim, Netlist, SimProgram};
 use hwperm_sat::{
     encode_combinational, encode_combinational_with, encode_unrolled, read_word, Cnf, FrameLits,
     Lit, SatResult, SolverStats,
 };
+use std::sync::Arc;
 
 /// Size and search statistics of one SAT proof obligation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,34 +135,26 @@ fn flat_inputs(program: &SimProgram, frame: &FrameLits) -> Vec<Lit> {
 }
 
 /// Replays one combinational frame of `program` with its flattened
-/// input vector driven to `index`, returning each output port's packed
-/// word (declaration order).
-fn replay_flat(program: &SimProgram, index: u64) -> Vec<(String, u64)> {
-    let mut values: Vec<bool> = program.initial_values();
-    let mut bit = 0usize;
+/// input vector driven to `index` (ports in declaration order, LSB
+/// first), returning each output port's packed word (declaration
+/// order).
+fn replay_flat(program: &Arc<SimProgram>, index: u64) -> Vec<(String, u64)> {
+    let mut sim = BatchSim::<bool>::from_program(Arc::clone(program));
+    let mut next_bit = 0;
     for port in program.netlist().input_ports() {
-        let slots = program.input_slots(&port.name).to_vec();
-        for slot in slots {
-            values[slot as usize] = bit < 64 && (index >> bit) & 1 == 1;
-            bit += 1;
-        }
+        let end = next_bit + port.nets.len();
+        let bits: Vec<bool> = (next_bit..end)
+            .map(|b| b < 64 && (index >> b) & 1 == 1)
+            .collect();
+        sim.set_input_words(&port.name, &bits);
+        next_bit = end;
     }
-    program.exec(&mut values);
+    sim.eval();
     program
         .netlist()
         .output_ports()
         .iter()
-        .map(|p| {
-            let word = program
-                .output_slots(&p.name)
-                .iter()
-                .enumerate()
-                .take(64)
-                .fold(0u64, |acc, (i, &slot)| {
-                    acc | ((values[slot as usize] as u64) << i)
-                });
-            (p.name.clone(), word)
-        })
+        .map(|p| (p.name.clone(), sim.read_output_lane_u64(&p.name, 0)))
         .collect()
 }
 
@@ -201,8 +194,8 @@ pub fn prove_equivalent_budgeted(
             cap: 64,
         });
     }
-    let pa = SimProgram::compile(a.clone());
-    let pb = SimProgram::compile(b.clone());
+    let pa = SimProgram::compile_shared(a.clone());
+    let pb = SimProgram::compile_shared(b.clone());
     let mut cnf = Cnf::new();
     let fa = encode_combinational(&pa, &mut cnf);
     let bound: Vec<(String, Vec<Lit>)> = pa
@@ -287,7 +280,7 @@ pub fn prove_against_table_budgeted(
         return Err(VerifyError::Sequential);
     }
     crate::exhaustive::port_width_checked(netlist, input, output, expected.len());
-    let program = SimProgram::compile(netlist.clone());
+    let program = SimProgram::compile_shared(netlist.clone());
     let mut cnf = Cnf::new();
     let frame = encode_combinational(&program, &mut cnf);
     let in_lits = frame.input(&program, input);
@@ -319,7 +312,7 @@ pub fn prove_against_table_budgeted(
         SatResult::Unknown => ProveOutcome::Unknown(proof),
         SatResult::Sat(model) => {
             let index = read_word(&model, &in_lits);
-            let got = replay_port(&program, input, index, output);
+            let got = replay(&program, input, index, output, 0);
             ProveOutcome::Refuted(
                 ExhaustiveMismatch {
                     index,
@@ -333,23 +326,19 @@ pub fn prove_against_table_budgeted(
     })
 }
 
-/// Replays one combinational settle driving only `input`, reading
-/// `output` (other input ports, if any, stay at zero — matching the
-/// sweeps, which drive a single port).
-fn replay_port(program: &SimProgram, input: &str, index: u64, output: &str) -> u64 {
-    let mut values: Vec<bool> = program.initial_values();
-    for (i, &slot) in program.input_slots(input).iter().enumerate().take(64) {
-        values[slot as usize] = (index >> i) & 1 == 1;
+/// Replays `program` from reset with only `input` driven, held at
+/// `index` (other input ports, if any, stay at zero — matching the
+/// sweeps, which drive a single port), for `cycles` clock cycles, and
+/// reads `output` after a final settle. Combinational checks replay
+/// zero cycles.
+fn replay(program: &Arc<SimProgram>, input: &str, index: u64, output: &str, cycles: usize) -> u64 {
+    let mut sim = BatchSim::<bool>::from_program(Arc::clone(program));
+    sim.set_input_u64(input, index);
+    for _ in 0..cycles {
+        sim.step();
     }
-    program.exec(&mut values);
-    program
-        .output_slots(output)
-        .iter()
-        .enumerate()
-        .take(64)
-        .fold(0u64, |acc, (i, &slot)| {
-            acc | ((values[slot as usize] as u64) << i)
-        })
+    sim.eval();
+    sim.read_output_lane_u64(output, 0)
 }
 
 /// Proves (or refutes) the inverse-composition identity
@@ -377,8 +366,8 @@ pub fn prove_inverse_identity(
     if f.register_count() > 0 || g.register_count() > 0 {
         return Err(VerifyError::Sequential);
     }
-    let pf = SimProgram::compile(f.clone());
-    let pg = SimProgram::compile(g.clone());
+    let pf = SimProgram::compile_shared(f.clone());
+    let pg = SimProgram::compile_shared(g.clone());
     let mut cnf = Cnf::new();
     let ff = encode_combinational(&pf, &mut cnf);
     let f_out_lits = ff.output(&pf, f_out);
@@ -405,8 +394,8 @@ pub fn prove_inverse_identity(
         SatResult::Unknown => ProveOutcome::Unknown(proof),
         SatResult::Sat(model) => {
             let index = read_word(&model, &f_in_lits);
-            let mid = replay_port(&pf, f_in, index, f_out);
-            let got = replay_port(&pg, g_in, mid, g_out);
+            let mid = replay(&pf, f_in, index, f_out, 0);
+            let got = replay(&pg, g_in, mid, g_out, 0);
             ProveOutcome::Refuted(
                 ExhaustiveMismatch {
                     index,
@@ -430,7 +419,7 @@ pub fn prove_inverse_identity(
 ///
 /// A counterexample is decoded by replaying the witness through the
 /// sequential tape (settle + latch per cycle, like
-/// `Simulator::step`) and reported in the sweeps' format.
+/// `BatchSim::step`) and reported in the sweeps' format.
 ///
 /// # Panics
 /// Panics if ports are missing, widths mismatch, or `input` exceeds
@@ -448,8 +437,8 @@ pub fn prove_pipelined_equivalent(
     if comb.register_count() > 0 {
         return Err(VerifyError::Sequential);
     }
-    let ps = SimProgram::compile(seq.clone());
-    let pc = SimProgram::compile(comb.clone());
+    let ps = SimProgram::compile_shared(seq.clone());
+    let pc = SimProgram::compile_shared(comb.clone());
     let mut cnf = Cnf::new();
     let frames = encode_unrolled(&ps, &mut cnf, latency + 1, true);
     let first = &frames[0];
@@ -473,8 +462,8 @@ pub fn prove_pipelined_equivalent(
         SatResult::Unknown => ProveOutcome::Unknown(proof),
         SatResult::Sat(model) => {
             let index = read_word(&model, &in_lits);
-            let got = replay_sequential(&ps, input, index, output, latency);
-            let want = replay_port(&pc, input, index, output);
+            let got = replay(&ps, input, index, output, latency);
+            let want = replay(&pc, input, index, output, 0);
             ProveOutcome::Refuted(
                 ExhaustiveMismatch {
                     index,
@@ -486,35 +475,6 @@ pub fn prove_pipelined_equivalent(
             )
         }
     })
-}
-
-/// Replays `latency` clock cycles of the sequential tape with `input`
-/// held at `index`, then reads `output` after a final settle.
-fn replay_sequential(
-    program: &SimProgram,
-    input: &str,
-    index: u64,
-    output: &str,
-    latency: usize,
-) -> u64 {
-    let mut values: Vec<bool> = program.initial_values();
-    let mut scratch = Vec::new();
-    for (i, &slot) in program.input_slots(input).iter().enumerate().take(64) {
-        values[slot as usize] = (index >> i) & 1 == 1;
-    }
-    for _ in 0..latency {
-        program.exec(&mut values);
-        program.latch(&mut values, &mut scratch);
-    }
-    program.exec(&mut values);
-    program
-        .output_slots(output)
-        .iter()
-        .enumerate()
-        .take(64)
-        .fold(0u64, |acc, (i, &slot)| {
-            acc | ((values[slot as usize] as u64) << i)
-        })
 }
 
 #[cfg(test)]

@@ -326,7 +326,8 @@ mod tests {
         // W512 batches (100), and whole batches at every width (256,
         // 512); corruptions sit past lane 64, on the last lane of a
         // partial or final batch, and across prospective shards.
-        let cases: [(usize, u64, &[(usize, u64)]); 10] = [
+        type Case = (usize, u64, &'static [(usize, u64)]);
+        let cases: [Case; 10] = [
             (3, 8, &[]),
             (3, 8, &[(5, 0), (6, 0)]),
             (3, 8, &[(6, 0)]),

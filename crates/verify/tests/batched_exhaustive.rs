@@ -5,7 +5,7 @@
 //! scalar sweep on deliberately broken netlists.
 
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{Gate, Netlist, Simulator, W256, W512};
+use hwperm_logic::{BatchSim, Gate, Netlist, W256, W512};
 use hwperm_verify::{
     exhaustive_check_parallel_wide, exhaustive_check_scalar, expected_permutation_words,
     ExhaustiveMismatch,
@@ -62,7 +62,7 @@ fn converter_n7_passes_the_batched_sweep() {
 /// The minimal mismatching index found by a third, independent walk:
 /// one scalar simulation per index, no batching, no early-out state.
 fn brute_force_first_mismatch(netlist: &Netlist, expected: &[u64]) -> Option<u64> {
-    let mut sim = Simulator::new(netlist.clone());
+    let mut sim = BatchSim::<bool>::new(netlist.clone());
     (0u64..expected.len() as u64).find(|&i| {
         sim.set_input_u64("index", i);
         sim.eval();

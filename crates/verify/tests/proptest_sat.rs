@@ -1,11 +1,20 @@
-//! Property tests for the CNF lowering: random combinational netlists
-//! must agree with the scalar simulator — the Tseitin encoding, the
-//! CDCL solver, and the model decoder are checked against simulation
-//! on the full input space of each generated circuit.
+//! Cross-engine property tests on random combinational netlists. The
+//! golden table (the 64-lane tape over the full input space) must be
+//! matched by the scalar `BatchSim<bool>` sweep on the canonical tape,
+//! the 512-lane sweep on the fused tape, an empty-fault overlay, and
+//! the SAT proof — the Tseitin encoding, the CDCL solver and the model
+//! decoder checked against simulation. Random structure reaches the
+//! fusion rewrites and the overlay path that the registry families
+//! alone leave narrow.
 
-use hwperm_logic::{Builder, NetId, Netlist};
-use hwperm_verify::{golden_output_words, prove_against_table, ProveOutcome};
+use hwperm_faults::FaultOverlay;
+use hwperm_logic::{BatchSim, Builder, NetId, Netlist, SimProgram, W512};
+use hwperm_verify::{
+    exhaustive_check_parallel_wide, exhaustive_check_scalar, golden_output_words,
+    prove_against_table, ProveOutcome,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// One random gate: an opcode plus operand selectors, resolved against
 /// the nets built so far (modulo indexing keeps every choice in range).
@@ -51,6 +60,18 @@ fn random_netlist(w: usize, specs: &[GateSpec]) -> Netlist {
     b.finish()
 }
 
+/// The output word at every input (at most 64, one per lane) through
+/// an empty-fault overlay around a 64-lane simulator.
+fn fault_free_overlay_words(netlist: &Netlist, w: usize) -> Vec<u64> {
+    let program = SimProgram::compile_shared(netlist.clone());
+    let overlay = FaultOverlay::<u64>::batched(Arc::clone(&program), &[]);
+    let mut sim = BatchSim::from_program(program);
+    let inputs: Vec<u64> = (0..1u64 << w).collect();
+    sim.set_input_lanes_u64("in", &inputs);
+    overlay.eval(&mut sim);
+    sim.read_output_lanes_u64("out")[..inputs.len()].to_vec()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -59,10 +80,17 @@ proptest! {
         w in 2usize..=6,
         specs in prop::collection::vec(gate_spec(), 1..40),
     ) {
-        // The table is what the scalar simulator computes over the full
-        // input space; CNF-encode + solve must close it as a theorem.
+        // The table is what the 64-lane tape computes over the full
+        // input space; every other engine must reproduce it, and
+        // CNF-encode + solve must close it as a theorem.
         let netlist = random_netlist(w, &specs);
         let table = golden_output_words(&netlist, "in", "out");
+        prop_assert_eq!(exhaustive_check_scalar(&netlist, "in", "out", &table), Ok(()));
+        prop_assert_eq!(
+            exhaustive_check_parallel_wide::<W512>(&netlist, "in", "out", &table, 2),
+            Ok(())
+        );
+        prop_assert_eq!(fault_free_overlay_words(&netlist, w), table.clone());
         let out = prove_against_table(&netlist, "in", "out", &table).unwrap();
         prop_assert!(
             matches!(out, ProveOutcome::Proved(_)),

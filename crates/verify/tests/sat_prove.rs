@@ -6,7 +6,7 @@
 
 use hwperm_bignum::Ubig;
 use hwperm_circuits::{converter_netlist, ConverterOptions, PermToIndexConverter};
-use hwperm_logic::{Gate, Simulator};
+use hwperm_logic::{BatchSim, Gate};
 use hwperm_verify::{
     expected_permutation_words, prove_against_table, prove_equivalent, prove_inverse_identity,
     prove_pipelined_equivalent, ProveOutcome,
@@ -122,7 +122,7 @@ fn every_live_mutant_is_refuted_with_a_replayable_counterexample() {
         assert_eq!(cx.want, expected[cx.index as usize], "gate {i}: {cx:?}");
         assert_ne!(cx.got, cx.want, "gate {i}: vacuous counterexample {cx:?}");
         // Replay the witness on the scalar simulator.
-        let mut sim = Simulator::new(mutant);
+        let mut sim = BatchSim::<bool>::new(mutant);
         sim.set_input("index", &Ubig::from(cx.index));
         sim.eval();
         assert_eq!(

@@ -31,7 +31,7 @@ fn permanent_ryser(a: &[Vec<f64>]) -> f64 {
             }
             prod *= sum;
         }
-        let sign = if (n as u32 - subset.count_ones()) % 2 == 0 {
+        let sign = if (n as u32 - subset.count_ones()).is_multiple_of(2) {
             1.0
         } else {
             -1.0

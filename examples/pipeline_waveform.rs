@@ -8,7 +8,7 @@
 
 use hwperm_bignum::Ubig;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{Simulator, Tracer};
+use hwperm_logic::{BatchSim, Tracer};
 use hwperm_perm::Permutation;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         },
     );
     let mut tracer = Tracer::new(&netlist, &["index", "perm"]);
-    let mut sim = Simulator::new(netlist);
+    let mut sim = BatchSim::<bool>::new(netlist);
 
     println!("clock | index in | perm word out | decoded");
     for cycle in 0..12u64 {

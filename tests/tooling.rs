@@ -6,7 +6,7 @@ use hwperm_bignum::Ubig;
 use hwperm_circuits::{converter_netlist, shuffle_netlist, ConverterOptions, ShuffleOptions};
 use hwperm_core::PermutationStream;
 use hwperm_factoradic::{unrank, unrank_u64};
-use hwperm_logic::{to_blif, to_verilog, Simulator, Tracer};
+use hwperm_logic::{to_blif, to_verilog, BatchSim, Tracer};
 use hwperm_verify::CompiledNetlist;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -57,7 +57,7 @@ fn vcd_trace_of_shuffle_records_every_cycle() {
         },
     );
     let mut tracer = Tracer::new(&netlist, &["perm"]);
-    let mut sim = Simulator::new(netlist);
+    let mut sim = BatchSim::<bool>::new(netlist);
     for _ in 0..20 {
         sim.eval();
         tracer.sample(&sim);
@@ -78,7 +78,7 @@ fn formal_proof_and_simulation_agree_on_a_counterexample_free_circuit() {
     // BDD evaluation must agree with gate-level simulation on all inputs,
     // including out-of-range ones (where both see the same don't-care
     // hardware behaviour).
-    let mut sim = Simulator::new(netlist);
+    let mut sim = BatchSim::<bool>::new(netlist);
     for index in 0..32u64 {
         sim.set_input_u64("index", index);
         sim.eval();
