@@ -79,12 +79,6 @@ impl Manager {
         self.nodes[f.index()].level
     }
 
-    /// Decision level of a node (`u32::MAX` for the terminals) — used by
-    /// cross-manager structural comparison in `hwperm-verify`.
-    pub fn top_level(&self, f: NodeId) -> u32 {
-        self.level_of(f)
-    }
-
     /// `(level, low, high)` of an internal node.
     ///
     /// # Panics

@@ -45,12 +45,6 @@ impl Ubig {
         self.limbs.is_empty()
     }
 
-    /// `true` iff the value is `1`.
-    #[inline]
-    pub fn is_one(&self) -> bool {
-        self.limbs.len() == 1 && self.limbs[0] == 1
-    }
-
     /// Number of significant bits (`0` has bit length `0`).
     pub fn bit_len(&self) -> usize {
         match self.limbs.last() {
@@ -77,11 +71,6 @@ impl Ubig {
             self.limbs[limb] &= !(1u64 << off);
             self.normalize();
         }
-    }
-
-    /// The low 64 bits of the value (truncating).
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
     }
 
     /// Exact conversion to `u64`, if the value fits.

@@ -9,15 +9,15 @@
 
 use hwperm_bignum::Ubig;
 use hwperm_circuits::{
-    converter_netlist, families, sweep_ports, ConverterOptions, Family, IndexToPermConverter,
-    KnuthShuffleCircuit, SortingNetwork,
+    converter_netlist, families, sweep_ports, ConverterOptions, Family, KnuthShuffleCircuit,
+    SortingNetwork,
 };
 use hwperm_core::{CircuitRandomSource, RandomPermSource, SoftwareRandomSource};
 use hwperm_factoradic::{
     rank, rank_combination, rank_variation, unrank, unrank_combination, unrank_variation,
     IndexedPermutations,
 };
-use hwperm_logic::{Netlist, ResourceReport, SimProgram, W256, W512};
+use hwperm_logic::{Netlist, ResourceReport, SimProgram, SimWord, W512};
 use hwperm_perm::Permutation;
 use hwperm_rng::BiasReport;
 use hwperm_store::TableSource;
@@ -94,28 +94,24 @@ usage: hwperm <command> [args]
                                  format)
   bias <m> <k>                   pigeonhole bias of an m-bit LFSR over [0,k)
   sort <key> <key> ...           sort through the selection network
-  faults <n> [--family F] [--jobs N] [--width W] [--json]
+  faults <n> [--family F] [--jobs N] [--json]
                                  single-stuck-at fault campaign against
                                  the exhaustive oracle (family:
                                  converter | rank | combination |
                                  variation | sort | all; default
-                                 converter); --width W retires W faults
-                                 per tape walk (64 | 256 | 512, default
-                                 512 — verdicts are byte-identical at
-                                 every width); reports detected /
-                                 silent / masked verdicts, coverage
-                                 percentages, and every silent fault's
-                                 witness
-  verify <n> [--batch] [--jobs N] [--width W] [--store D]
-                                 netlist vs software cross-check
-                                 (--batch: word-level gate sweep of the
-                                  fused converter tape, one index per
-                                  lane; --width W lanes per pass (64 |
-                                  256 | 512, default 512); --jobs N:
-                                  shard the batched sweep over N worker
-                                  threads — reports the same
-                                  lowest-index first mismatch as the
-                                  sequential sweep; --store D: load the
+                                 converter), 512 faults per tape walk
+                                 over N worker threads (1..=64); reports
+                                 detected / silent / masked verdicts,
+                                 coverage percentages, and every silent
+                                 fault's witness
+  verify <n> [--jobs N] [--store D]
+                                 netlist vs software cross-check: a
+                                 word-level gate sweep of the fused
+                                 converter tape, 512 indices per pass
+                                 (--jobs N: shard the sweep over N
+                                  worker threads, 1..=64 — reports the
+                                  same lowest-index first mismatch as
+                                  one worker; --store D: load the
                                   expectation table from a persisted
                                   store built by `hwperm store build`
                                   instead of recomputing it —
@@ -125,7 +121,7 @@ usage: hwperm <command> [args]
                                  (circuit: as for resources; the module
                                   is named <module>_<n>, e.g.
                                   index_to_perm_4 for converter 4)
-  serve <addr> [--workers N] [--chunk N] [--store D] [--max-conns N]
+  serve <addr> [--workers N] [--store D] [--max-conns N]
         [--idle-timeout-ms T] [--request-deadline-ms T]
                                  permutation-as-a-service: long-running
                                  socket server (addr: host:port, port 0
@@ -136,8 +132,8 @@ usage: hwperm <command> [args]
                                  random-stream | verify | stats |
                                  shutdown, multiplexed over a sharded
                                  worker pool (--workers, default 4);
-                                 --chunk sets the default packed words
-                                 per binary frame (default 8192);
+                                 binary frames carry 8192 packed words
+                                 unless a request sets \"chunk\";
                                  --store D streams verify tables and
                                  block words from a persisted oracle
                                  store when its tables are warm (cold
@@ -251,7 +247,6 @@ fn prove_family(
                 "perm",
                 n - 1,
                 factorial,
-                None,
             )
             .map_err(fail)?;
             Ok(("k-step unrolling vs combinational twin", out))
@@ -259,7 +254,7 @@ fn prove_family(
         "rank" => {
             let conv = build("converter", n);
             let out = hwperm_verify::prove_inverse_identity(
-                &conv, "index", "perm", &netlist, "perm", "index", factorial, None,
+                &conv, "index", "perm", &netlist, "perm", "index", factorial,
             )
             .map_err(fail)?;
             Ok(("rank ∘ unrank identity over all indices", out))
@@ -297,24 +292,18 @@ fn parse_usize(s: &str, what: &str) -> Result<usize, CliError> {
     s.parse().map_err(|_| err(format!("invalid {what}: {s:?}")))
 }
 
-/// Parses a `--width` value into a lane count. Only the three compiled
-/// word widths exist — 64 (`u64`), 256 ([`W256`]), 512 ([`W512`]) —
-/// anything else is a user error (exit 2).
-fn parse_width(s: &str) -> Result<usize, CliError> {
-    match s {
-        "64" => Ok(64),
-        "256" => Ok(256),
-        "512" => Ok(512),
-        other => Err(err(format!(
-            "invalid --width {other:?} (widths: 64 | 256 | 512)"
-        ))),
+/// Parses the value after `--jobs`: a worker count in 1..=64, the
+/// bound `serve --workers` also keeps.
+fn parse_jobs(value: Option<&String>) -> Result<usize, CliError> {
+    let jobs = parse_usize(
+        value.ok_or_else(|| err("--jobs needs a worker count"))?,
+        "worker count",
+    )?;
+    if !(1..=64).contains(&jobs) {
+        return Err(err("--jobs must be 1..=64"));
     }
+    Ok(jobs)
 }
-
-/// The default `--width`: the widest compiled word. The wide words
-/// autovectorize, so more lanes per tape walk is the fastest choice on
-/// every target; `--width 64` remains for baselining.
-const DEFAULT_WIDTH: usize = 512;
 
 /// Renders [`TapeStats`](hwperm_logic::TapeStats) for a fused compile
 /// of `netlist` as a JSON object — the `"tape"` field of each
@@ -467,11 +456,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             Ok(format!("{}\n", rank_variation(n, &v)))
         }
         "random" => {
-            let n = parse_usize(
-                rest.first()
-                    .ok_or_else(|| err("usage: hwperm random <n> [count] [seed]"))?,
-                "n",
-            )?;
+            if !(1..=3).contains(&rest.len()) {
+                return Err(err("usage: hwperm random <n> [count] [seed]"));
+            }
+            let n = parse_usize(&rest[0], "n")?;
             let count: usize = rest.get(1).map_or(Ok(1), |s| parse_usize(s, "count"))?;
             let seed: u64 = rest
                 .get(2)
@@ -480,11 +468,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             Ok(render_random(&mut src, count))
         }
         "random-circuit" => {
-            let n = parse_usize(
-                rest.first()
-                    .ok_or_else(|| err("usage: hwperm random-circuit <n> [count]"))?,
-                "n",
-            )?;
+            if !(1..=2).contains(&rest.len()) {
+                return Err(err("usage: hwperm random-circuit <n> [count]"));
+            }
+            let n = parse_usize(&rest[0], "n")?;
             if n < 2 {
                 return Err(err("circuit generation requires n >= 2"));
             }
@@ -493,11 +480,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             Ok(render_random(&mut src, count))
         }
         "all" => {
-            let n = parse_usize(
-                rest.first()
-                    .ok_or_else(|| err("usage: hwperm all <n> [start] [end]"))?,
-                "n",
-            )?;
+            if !(1..=3).contains(&rest.len()) {
+                return Err(err("usage: hwperm all <n> [start] [end]"));
+            }
+            let n = parse_usize(&rest[0], "n")?;
             let start = rest
                 .get(1)
                 .map_or(Ok(Ubig::zero()), |s| parse_ubig(s, "start"))?;
@@ -650,10 +636,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             ))
         }
         "serve" => {
-            const SERVE_USAGE: &str = "usage: hwperm serve <addr> [--workers N] [--chunk N] \
-                 [--store D] [--max-conns N] [--idle-timeout-ms T] [--request-deadline-ms T]";
+            const SERVE_USAGE: &str = "usage: hwperm serve <addr> [--workers N] [--store D] \
+                 [--max-conns N] [--idle-timeout-ms T] [--request-deadline-ms T]";
             let mut workers = 4usize;
-            let mut chunk = hwperm_serve::DEFAULT_CHUNK;
             let mut store: Option<PathBuf> = None;
             let mut max_conns = 0usize;
             let mut idle_timeout_ms: Option<u64> = None;
@@ -669,16 +654,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         workers = parse_usize(v, "worker count")?;
                         if !(1..=64).contains(&workers) {
                             return Err(err("--workers must be 1..=64"));
-                        }
-                    }
-                    "--chunk" => {
-                        let v = it.next().ok_or_else(|| err("--chunk needs a word count"))?;
-                        chunk = parse_usize(v, "chunk size")?;
-                        if !(1..=hwperm_serve::CHUNK_CAP).contains(&chunk) {
-                            return Err(err(format!(
-                                "--chunk must be 1..={}",
-                                hwperm_serve::CHUNK_CAP
-                            )));
                         }
                     }
                     "--store" => {
@@ -747,7 +722,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 listener,
                 hwperm_serve::ServeOptions {
                     workers,
-                    default_chunk: chunk,
                     fixed_micros: None,
                     store_dir: store,
                     max_conns,
@@ -861,13 +835,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 match arg.as_str() {
                     "--json" => json = true,
                     "--jobs" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| err("--jobs needs a worker count"))?;
-                        jobs = parse_usize(v, "worker count")?;
-                        if !(1..=64).contains(&jobs) {
-                            return Err(err("--jobs must be 1..=64"));
-                        }
+                        jobs = parse_jobs(it.next())?;
                         jobs_given = true;
                     }
                     "--dir" => {
@@ -982,31 +950,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "faults" => {
-            const FAULTS_USAGE: &str =
-                "usage: hwperm faults <n> [--family F] [--jobs N] [--width W] [--json]";
+            const FAULTS_USAGE: &str = "usage: hwperm faults <n> [--family F] [--jobs N] [--json]";
             let mut json = false;
             let mut jobs = 1usize;
-            let mut width = DEFAULT_WIDTH;
             let mut family: Option<&String> = None;
             let mut positional: Vec<&String> = Vec::new();
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
                     "--json" => json = true,
-                    "--jobs" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| err("--jobs needs a worker count"))?;
-                        let v = parse_usize(v, "worker count")?;
-                        if v == 0 {
-                            return Err(err("--jobs needs at least one worker"));
-                        }
-                        jobs = v;
-                    }
-                    "--width" => {
-                        let v = it.next().ok_or_else(|| err("--width needs a lane count"))?;
-                        width = parse_width(v)?;
-                    }
+                    "--jobs" => jobs = parse_jobs(it.next())?,
                     "--family" => {
                         family = Some(
                             it.next()
@@ -1016,7 +969,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     _ => positional.push(arg),
                 }
             }
-            let n = parse_usize(positional.first().ok_or_else(|| err(FAULTS_USAGE))?, "n")?;
+            let [n] = positional[..] else {
+                return Err(err(FAULTS_USAGE));
+            };
+            let n = parse_usize(n, "n")?;
             if !(2..=5).contains(&n) {
                 return Err(err(
                     "fault campaigns sweep every fault against every input; n must be 2..=5",
@@ -1043,21 +999,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 // The converter checks against the independent
                 // block-decoded oracle plus the packed-permutation
                 // validity guard; the other families self-golden
-                // against their fault-free sweep. The campaign retires
-                // `width` faults per tape walk; verdicts are
-                // byte-identical at every width.
-                let run =
-                    |expected: &[u64], valid: Option<&(dyn Fn(u64) -> bool + Sync)>| match width {
-                        64 => hwperm_verify::stuck_at_campaign_wide::<u64>(
-                            netlist, input, output, expected, valid, jobs,
-                        ),
-                        256 => hwperm_verify::stuck_at_campaign_wide::<W256>(
-                            netlist, input, output, expected, valid, jobs,
-                        ),
-                        _ => hwperm_verify::stuck_at_campaign_wide::<W512>(
-                            netlist, input, output, expected, valid, jobs,
-                        ),
-                    };
+                // against their fault-free sweep. Each tape walk
+                // retires 512 faults.
+                let run = |expected: &[u64], valid: Option<&(dyn Fn(u64) -> bool + Sync)>| {
+                    hwperm_verify::stuck_at_campaign_wide::<W512>(
+                        netlist, input, output, expected, valid, jobs,
+                    )
+                };
                 let report = if *fam == "converter" {
                     let expected = hwperm_verify::expected_permutation_words(n);
                     let valid = move |word: u64| hwperm_perm::packed_is_permutation_u64(n, word);
@@ -1088,10 +1036,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         .join(",");
                     out.push_str(&format!(
                         "{{\"circuit\":\"{fam}\",\"n\":{n},\"workers\":{jobs},\
-                         \"width\":{width},\
+                         \"width\":{},\
                          \"faults\":{},\"detected\":{},\"silent\":{},\"masked\":{},\
                          \"coverage_percent\":{:.2},\"guard_coverage_percent\":{:.2},\
                          \"silent_faults\":[{silent_json}]}}",
+                        W512::LANES,
                         report.total(),
                         report.detected(),
                         report.silent(),
@@ -1139,16 +1088,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             while let Some(arg) = it.next() {
                 match arg.as_str() {
                     "--json" => json = true,
-                    "--jobs" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| err("--jobs needs a worker count"))?;
-                        let v = parse_usize(v, "worker count")?;
-                        if v == 0 {
-                            return Err(err("--jobs needs at least one worker"));
-                        }
-                        jobs = v;
-                    }
+                    "--jobs" => jobs = parse_jobs(it.next())?,
                     "--family" => {
                         family = Some(
                             it.next()
@@ -1162,7 +1102,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
             }
             let store = store.map(Path::new);
-            let n = parse_usize(positional.first().ok_or_else(|| err(PROVE_USAGE))?, "n")?;
+            let [n] = positional[..] else {
+                return Err(err(PROVE_USAGE));
+            };
+            let n = parse_usize(n, "n")?;
             if !(2..=9).contains(&n) {
                 return Err(err(
                     "proof obligations need the n! oracle tables; n must be 2..=9",
@@ -1257,22 +1200,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                                     ));
                                 }
                             }
-                            hwperm_verify::ProveOutcome::Unknown(_) => {
-                                failures += 1;
-                                if json {
-                                    out.push_str(&format!(
-                                        "{{\"circuit\":\"{fam}\",\"n\":{n},\
-                                         \"obligation\":\"{obligation}\",\
-                                         \"verdict\":\"unknown\",{stats_json}}}"
-                                    ));
-                                } else {
-                                    out.push_str(&format!(
-                                        "== {fam} (n = {n}) ==\n\
-                                         obligation: {obligation}\n\
-                                         unknown: conflict budget exhausted ({stats_text})\n"
-                                    ));
-                                }
-                            }
                         }
                     }
                     Err(e) => {
@@ -1301,120 +1228,71 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "verify" => {
-            const VERIFY_USAGE: &str =
-                "usage: hwperm verify <n> [--batch] [--jobs N] [--width W] [--store D]";
-            let batch = rest.iter().any(|a| a == "--batch");
+            const VERIFY_USAGE: &str = "usage: hwperm verify <n> [--jobs N] [--store D]";
             let mut jobs: Option<usize> = None;
-            let mut width: Option<usize> = None;
             let mut store: Option<&String> = None;
             let mut positional: Vec<&String> = Vec::new();
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--batch" => {}
-                    "--jobs" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| err("--jobs needs a worker count"))?;
-                        let v = parse_usize(v, "worker count")?;
-                        if v == 0 {
-                            return Err(err("--jobs needs at least one worker"));
-                        }
-                        jobs = Some(v);
-                    }
-                    "--width" => {
-                        let v = it.next().ok_or_else(|| err("--width needs a lane count"))?;
-                        width = Some(parse_width(v)?);
-                    }
+                    "--jobs" => jobs = Some(parse_jobs(it.next())?),
                     "--store" => {
                         store = Some(it.next().ok_or_else(|| err("--store needs a directory"))?);
                     }
                     _ => positional.push(arg),
                 }
             }
-            if jobs.is_some() && !batch {
-                return Err(err(
-                    "--jobs requires --batch (the sharded sweep is word-level)",
-                ));
-            }
-            if width.is_some() && !batch {
-                return Err(err(
-                    "--width requires --batch (the lane width is word-level)",
-                ));
-            }
-            if store.is_some() && !batch {
-                return Err(err(
-                    "--store requires --batch (the expectation table is word-level)",
-                ));
-            }
-            let width = width.unwrap_or(DEFAULT_WIDTH);
-            let n = parse_usize(positional.first().ok_or_else(|| err(VERIFY_USAGE))?, "n")?;
+            let [n] = positional[..] else {
+                return Err(err(VERIFY_USAGE));
+            };
+            let n = parse_usize(n, "n")?;
             if !(2..=8).contains(&n) {
                 return Err(err("verify sweeps exhaustively; n must be 2..=8"));
             }
             let total: u64 = (1..=n as u64).product();
-            if batch {
-                // Word-level sweep of the gate netlist itself: one index
-                // per lane settles per netlist walk of the fused tape,
-                // every output bit compared against the software
-                // unranker. With --jobs, the index space is sharded into
-                // contiguous per-worker blocks over one shared compiled
-                // tape; the first-mismatch report is identical to the
-                // sequential sweep's at every width.
-                let netlist = converter_netlist(n, ConverterOptions::default());
-                // The expectation table is loaded from the persisted
-                // store when --store is given — a missing or corrupt
-                // table is exit 2, never a silent recompute — and is
-                // block-decoded otherwise; the words (and therefore
-                // any mismatch witness) are byte-identical either way.
-                let source = match store {
-                    Some(dir) => TableSource::Store {
-                        dir: PathBuf::from(dir),
-                    },
-                    None => TableSource::Computed { workers: 1 },
-                };
-                let expected = source
-                    .permutation_words(n)
-                    .map_err(|e| err(format!("store error: {e}")))?;
-                let workers = jobs.unwrap_or(1);
-                match width {
-                    64 => hwperm_verify::exhaustive_check_parallel_wide::<u64>(
-                        &netlist, "index", "perm", &expected, workers,
-                    ),
-                    256 => hwperm_verify::exhaustive_check_parallel_wide::<W256>(
-                        &netlist, "index", "perm", &expected, workers,
-                    ),
-                    _ => hwperm_verify::exhaustive_check_parallel_wide::<W512>(
-                        &netlist, "index", "perm", &expected, workers,
-                    ),
-                }
-                .map_err(|m| err(format!("MISMATCH: {m}")))?;
-            } else {
-                let mut conv = IndexToPermConverter::new(n);
-                for i in 0..total {
-                    if conv.convert_u64(i) != hwperm_factoradic::unrank_u64(n, i) {
-                        return Err(err(format!("MISMATCH at index {i}")));
-                    }
-                }
-            }
+            // Word-level sweep of the gate netlist itself: one index
+            // per lane settles per netlist walk of the fused tape,
+            // every output bit compared against the software
+            // unranker. With --jobs, the index space is sharded into
+            // contiguous per-worker blocks over one shared compiled
+            // tape; the first-mismatch report is identical to the
+            // one-worker sweep's.
+            let netlist = converter_netlist(n, ConverterOptions::default());
+            // The expectation table is loaded from the persisted store
+            // when --store is given — a missing or corrupt table is
+            // exit 2, never a silent recompute — and is block-decoded
+            // otherwise; the words (and therefore any mismatch
+            // witness) are byte-identical either way.
+            let source = match store {
+                Some(dir) => TableSource::Store {
+                    dir: PathBuf::from(dir),
+                },
+                None => TableSource::Computed { workers: 1 },
+            };
+            let expected = source
+                .permutation_words(n)
+                .map_err(|e| err(format!("store error: {e}")))?;
+            hwperm_verify::exhaustive_check_parallel_wide::<W512>(
+                &netlist,
+                "index",
+                "perm",
+                &expected,
+                jobs.unwrap_or(1),
+            )
+            .map_err(|m| err(format!("MISMATCH: {m}")))?;
             // Also one shuffle-circuit output validity check.
             let mut shuffle = KnuthShuffleCircuit::new(n);
             let p = shuffle.next_permutation();
             Permutation::try_from_slice(p.as_slice())
                 .map_err(|e| err(format!("shuffle output invalid: {e}")))?;
-            let table_note = match store {
-                Some(dir) => format!(", store-backed table from {dir}"),
-                None => String::new(),
-            };
-            let mode = match jobs {
-                Some(workers) => {
-                    format!(" (batched, {width} lanes/pass, {workers} workers{table_note})")
-                }
-                None if batch => format!(" (batched, {width} lanes/pass{table_note})"),
-                None => String::new(),
-            };
+            let workers_note = jobs.map_or(String::new(), |w| format!(", {w} workers"));
+            let table_note = store.map_or(String::new(), |dir| {
+                format!(", store-backed table from {dir}")
+            });
             Ok(format!(
-                "OK: all {total} conversions match software for n = {n}{mode}\n"
+                "OK: all {total} conversions match software for n = {n} \
+                 (batched, {} lanes/pass{workers_note}{table_note})\n",
+                W512::LANES
             ))
         }
         other => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
@@ -1534,44 +1412,20 @@ mod tests {
 
     #[test]
     fn verify_passes() {
+        let out = call(&["verify", "4"]).unwrap();
+        assert!(out.contains("OK: all 24 conversions"), "{out}");
+        // The sweep runs the widest compiled word.
+        assert!(out.contains("batched, 512 lanes/pass"), "{out}");
         assert!(call(&["verify", "5"]).unwrap().contains("OK"));
+        // The range check bites, and <n> is required.
         assert!(call(&["verify", "20"]).is_err());
-    }
-
-    #[test]
-    fn verify_batch_passes() {
-        let out = call(&["verify", "4", "--batch"]).unwrap();
-        assert!(out.contains("OK: all 24 conversions"));
-        // The default width is the widest compiled word.
-        assert!(out.contains("batched, 512 lanes/pass"));
-        // Flag order must not matter, and the range check still bites.
-        assert!(call(&["verify", "--batch", "5"]).unwrap().contains("OK"));
-        assert!(call(&["verify", "--batch", "20"]).is_err());
-        assert!(call(&["verify", "--batch"]).is_err());
-    }
-
-    #[test]
-    fn verify_width_selects_the_lane_count() {
-        for width in ["64", "256", "512"] {
-            let out = call(&["verify", "4", "--batch", "--width", width]).unwrap();
-            assert!(out.contains("OK: all 24 conversions"), "{out}");
-            assert!(
-                out.contains(&format!("batched, {width} lanes/pass")),
-                "width = {width}: {out}"
-            );
-            let sharded =
-                call(&["verify", "5", "--batch", "--width", width, "--jobs", "3"]).unwrap();
-            assert!(
-                sharded.contains(&format!("batched, {width} lanes/pass, 3 workers")),
-                "width = {width}: {sharded}"
-            );
-        }
+        assert!(call(&["verify"]).is_err());
     }
 
     #[test]
     fn verify_jobs_shards_the_batched_sweep() {
         for workers in ["1", "2", "8"] {
-            let out = call(&["verify", "5", "--batch", "--jobs", workers]).unwrap();
+            let out = call(&["verify", "5", "--jobs", workers]).unwrap();
             assert!(out.contains("OK: all 120 conversions"), "{out}");
             assert!(
                 out.contains(&format!("{workers} workers")),
@@ -1579,28 +1433,23 @@ mod tests {
             );
         }
         // Flag order must not matter.
-        assert!(call(&["verify", "--jobs", "2", "--batch", "4"])
+        assert!(call(&["verify", "--jobs", "2", "4"])
             .unwrap()
             .contains("OK"));
     }
 
     #[test]
-    fn verify_jobs_rejects_bad_usage() {
-        // --jobs without --batch, a missing/zero/garbage count.
-        assert!(call(&["verify", "5", "--jobs", "4"]).is_err());
-        assert!(call(&["verify", "5", "--batch", "--jobs"]).is_err());
-        assert!(call(&["verify", "5", "--batch", "--jobs", "0"]).is_err());
-        assert!(call(&["verify", "5", "--batch", "--jobs", "many"]).is_err());
-    }
-
-    #[test]
-    fn verify_width_rejects_bad_usage() {
-        // --width without --batch, a missing/unsupported/garbage width.
+    fn verify_rejects_bad_usage() {
+        // A missing, zero, out-of-range or garbage worker count.
+        assert!(call(&["verify", "5", "--jobs"]).is_err());
+        assert!(call(&["verify", "5", "--jobs", "0"]).is_err());
+        assert!(call(&["verify", "5", "--jobs", "many"]).is_err());
+        let e = call(&["verify", "5", "--jobs", "65"]).unwrap_err();
+        assert_eq!(e.0, "--jobs must be 1..=64");
+        // Unknown flags and stray arguments are usage errors, not no-ops.
+        assert!(call(&["verify", "5", "--batch"]).is_err());
         assert!(call(&["verify", "5", "--width", "512"]).is_err());
-        assert!(call(&["verify", "5", "--batch", "--width"]).is_err());
-        assert!(call(&["verify", "5", "--batch", "--width", "128"]).is_err());
-        assert!(call(&["verify", "5", "--batch", "--width", "0"]).is_err());
-        assert!(call(&["verify", "5", "--batch", "--width", "wide"]).is_err());
+        assert!(call(&["verify", "5", "junk"]).is_err());
     }
 
     #[test]
@@ -1639,29 +1488,11 @@ mod tests {
     }
 
     #[test]
-    fn faults_width_is_reported_and_verdicts_are_width_invariant() {
-        // The JSON row records the requested lane width; the text
-        // report carries no width so the verdicts must come back
-        // byte-identical at 64, 256 and 512 lanes per pass.
-        let json = call(&["faults", "3", "--json", "--width", "256"]).unwrap();
-        assert!(json.starts_with("{\"tool\":\"hwperm\""), "{json}");
-        assert!(json.contains("\"status\":\"ok\",\"exit\":0"), "{json}");
-        assert!(json.contains("\"width\":256"), "{json}");
-        let narrow = call(&["faults", "3", "--family", "all", "--width", "64"]).unwrap();
-        for width in ["256", "512"] {
-            assert_eq!(
-                call(&["faults", "3", "--family", "all", "--width", width]).unwrap(),
-                narrow,
-                "width = {width}"
-            );
-        }
-    }
-
-    #[test]
     fn faults_rejects_bad_usage_as_user_errors() {
         // The satellite requirement: --jobs 0 and out-of-range <n> must
         // come back as CliErrors (exit 2 in main), never panics.
         assert!(call(&["faults", "4", "--jobs", "0"]).is_err());
+        assert!(call(&["faults", "4", "--jobs", "65"]).is_err());
         assert!(call(&["faults", "4", "--jobs"]).is_err());
         assert!(call(&["faults", "4", "--jobs", "many"]).is_err());
         assert!(call(&["faults", "1"]).is_err());
@@ -1670,10 +1501,9 @@ mod tests {
         assert!(call(&["faults"]).is_err());
         assert!(call(&["faults", "4", "--family", "nonsense"]).is_err());
         assert!(call(&["faults", "4", "--family"]).is_err());
-        assert!(call(&["faults", "4", "--width"]).is_err());
-        assert!(call(&["faults", "4", "--width", "128"]).is_err());
-        assert!(call(&["faults", "4", "--width", "0"]).is_err());
-        assert!(call(&["faults", "4", "--width", "wide"]).is_err());
+        // An unknown flag and a stray argument.
+        assert!(call(&["faults", "4", "--width", "512"]).is_err());
+        assert!(call(&["faults", "4", "junk"]).is_err());
     }
 
     #[test]
@@ -1825,7 +1655,6 @@ mod tests {
             );
         }
         assert!(!sweeps[2].contains("REFUTED"), "{}", sweeps[2]);
-        assert!(!sweeps[2].contains("unknown"), "{}", sweeps[2]);
     }
 
     #[test]
@@ -1877,7 +1706,9 @@ mod tests {
         assert!(call(&["prove", "4", "--family", "nonsense"]).is_err());
         assert!(call(&["prove", "4", "--family"]).is_err());
         assert!(call(&["prove", "4", "--jobs", "0"]).is_err());
+        assert!(call(&["prove", "4", "--jobs", "65"]).is_err());
         assert!(call(&["prove", "4", "--jobs"]).is_err());
+        assert!(call(&["prove", "4", "junk"]).is_err());
     }
 
     #[test]
@@ -1948,6 +1779,7 @@ mod tests {
         assert!(call(&["serve", "127.0.0.1:0", "--workers", "0"]).is_err());
         assert!(call(&["serve", "127.0.0.1:0", "--workers", "65"]).is_err());
         assert!(call(&["serve", "127.0.0.1:0", "--workers"]).is_err());
+        // `--chunk` is not a flag: requests set their own "chunk".
         assert!(call(&["serve", "127.0.0.1:0", "--chunk", "0"]).is_err());
         assert!(call(&["serve", "127.0.0.1:0", "--chunk", "70000"]).is_err());
         // Hardening flags: zero, out-of-range, and missing values are
@@ -2081,7 +1913,7 @@ mod tests {
         assert!(call(&["store", "build", "5", "--jobs", "65"]).is_err());
         assert!(call(&["store", "build", "5", "--dir"]).is_err());
         assert!(call(&["store", "stat", "5", "--jobs", "2"]).is_err());
-        // Word-level expectation tables only exist for batched sweeps.
+        // A missing store is an error, never a silent recompute.
         assert!(call(&["verify", "4", "--store", "somewhere"]).is_err());
     }
 
@@ -2111,10 +1943,10 @@ mod tests {
         let verified = call(&["store", "verify", "5", "--dir", &dir_arg]).unwrap();
         assert!(verified.contains("OK"), "{verified}");
         // Store-backed sweep and proof match the computed paths.
-        let sweep = call(&["verify", "5", "--batch", "--store", &dir_arg]).unwrap();
+        let sweep = call(&["verify", "5", "--store", &dir_arg]).unwrap();
         assert!(sweep.contains("OK"), "{sweep}");
         assert!(sweep.contains("store-backed table"), "{sweep}");
-        let computed = call(&["verify", "5", "--batch"]).unwrap();
+        let computed = call(&["verify", "5"]).unwrap();
         assert!(computed.contains("OK"), "{computed}");
         let prove = call(&["prove", "5", "--family", "converter", "--store", &dir_arg]).unwrap();
         assert!(prove.contains("proved"), "{prove}");

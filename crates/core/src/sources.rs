@@ -79,11 +79,6 @@ impl CircuitSource {
             ),
         }
     }
-
-    /// Access to the wrapped converter (resource reports, streaming).
-    pub fn converter_mut(&mut self) -> &mut IndexToPermConverter {
-        &mut self.converter
-    }
 }
 
 impl PermutationSource for CircuitSource {
@@ -222,11 +217,6 @@ impl CircuitRandomSource {
         CircuitRandomSource {
             circuit: KnuthShuffleCircuit::with_options(n, options),
         }
-    }
-
-    /// Access to the wrapped circuit.
-    pub fn circuit_mut(&mut self) -> &mut KnuthShuffleCircuit {
-        &mut self.circuit
     }
 }
 

@@ -27,7 +27,8 @@
 //! | `dup-gate`       | Info  | structurally identical gates (missed CSE) |
 //! | `const-output`   | Info  | output port bits tied to constants |
 //!
-//! Every lint can be suppressed or promoted per run via [`LintConfig`].
+//! Every diagnostic carries its lint's default severity; findings that
+//! report an unknown or advisory condition are capped below it.
 //! [`LintReport`] renders human-readable text ([`std::fmt::Display`]);
 //! `hwperm lint` in the CLI prints that, or renders each report as a
 //! row of its shared `--json` envelope.
@@ -41,7 +42,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies one lint check. `Display` renders the kebab-case id used
-/// in configs, JSON output and CLI flags.
+/// in text and JSON output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintId {
     /// Malformed gate/port references (see [`Netlist::check_structure`]).
@@ -112,7 +113,7 @@ impl LintId {
         ALL_LINTS.into_iter().find(|l| l.as_str() == s)
     }
 
-    /// The built-in severity before any [`LintConfig`] override.
+    /// The severity this lint's diagnostics carry.
     pub fn default_severity(self) -> Severity {
         match self {
             LintId::Structure
@@ -169,7 +170,8 @@ impl fmt::Display for Severity {
 pub struct Diagnostic {
     /// Which lint fired.
     pub lint: LintId,
-    /// Severity after config overrides.
+    /// The lint's default severity, capped for unknown or advisory
+    /// findings.
     pub severity: Severity,
     /// Human-readable description.
     pub message: String,
@@ -193,7 +195,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Per-lint allow/deny configuration plus analysis budgets.
+/// Analysis budgets and the input-range contract of a lint run.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     /// BDD node budget for each one-hot bank query.
@@ -204,8 +206,6 @@ pub struct LintConfig {
     /// the `range-dont-care` pass; `None` disables the pass. The CLI
     /// supplies the converter contract (`"index"`, `n!`).
     pub range_bound: Option<(String, u64)>,
-    /// `None` = suppressed; `Some(sev)` = overridden severity.
-    overrides: HashMap<LintId, Option<Severity>>,
 }
 
 impl Default for LintConfig {
@@ -214,33 +214,14 @@ impl Default for LintConfig {
             node_budget: DEFAULT_NODE_BUDGET,
             sat_conflict_budget: DEFAULT_SAT_CONFLICT_BUDGET,
             range_bound: None,
-            overrides: HashMap::new(),
         }
     }
 }
 
 impl LintConfig {
-    /// The default configuration (all lints at built-in severities).
+    /// The default configuration: default budgets, no range contract.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Suppresses a lint entirely.
-    pub fn allow(mut self, lint: LintId) -> Self {
-        self.overrides.insert(lint, None);
-        self
-    }
-
-    /// Promotes a lint to `Error`.
-    pub fn deny(mut self, lint: LintId) -> Self {
-        self.overrides.insert(lint, Some(Severity::Error));
-        self
-    }
-
-    /// Sets an explicit severity for a lint.
-    pub fn set_severity(mut self, lint: LintId, severity: Severity) -> Self {
-        self.overrides.insert(lint, Some(severity));
-        self
     }
 
     /// Sets the CDCL conflict budget for SAT escalation and range
@@ -256,20 +237,12 @@ impl LintConfig {
         self.range_bound = Some((port.into(), bound));
         self
     }
-
-    /// The effective severity of a lint, or `None` if suppressed.
-    pub fn severity(&self, lint: LintId) -> Option<Severity> {
-        match self.overrides.get(&lint) {
-            Some(over) => *over,
-            None => Some(lint.default_severity()),
-        }
-    }
 }
 
 /// The outcome of a lint run: all diagnostics, pass order preserved.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
-    /// All findings that survived the config filter.
+    /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -351,20 +324,12 @@ impl<'a> Linter<'a> {
     }
 
     fn emit(&mut self, lint: LintId, message: String, nets: Vec<usize>, ports: Vec<String>) {
-        if let Some(severity) = self.config.severity(lint) {
-            self.report.diagnostics.push(Diagnostic {
-                lint,
-                severity,
-                message,
-                nets,
-                ports,
-            });
-        }
+        self.emit_capped(lint, Severity::Error, message, nets, ports);
     }
 
     /// Like [`Self::emit`], but never above `cap` — for findings that
     /// report an *unknown* or advisory condition under a lint whose
-    /// configured severity reflects its refutation case.
+    /// default severity reflects its refutation case.
     fn emit_capped(
         &mut self,
         lint: LintId,
@@ -373,15 +338,13 @@ impl<'a> Linter<'a> {
         nets: Vec<usize>,
         ports: Vec<String>,
     ) {
-        if let Some(severity) = self.config.severity(lint) {
-            self.report.diagnostics.push(Diagnostic {
-                lint,
-                severity: severity.min(cap),
-                message,
-                nets,
-                ports,
-            });
-        }
+        self.report.diagnostics.push(Diagnostic {
+            lint,
+            severity: lint.default_severity().min(cap),
+            message,
+            nets,
+            ports,
+        });
     }
 
     fn run(mut self) -> LintReport {
@@ -1005,7 +968,7 @@ mod tests {
     }
 
     #[test]
-    fn config_allow_suppresses_and_deny_promotes() {
+    fn dead_gate_flagged_after_mutation() {
         // `finish()` sweeps dead gates, so orphan one after the fact:
         // reroute the Xor to read the And twice, stranding the Or.
         let mut b = Builder::new();
@@ -1018,15 +981,9 @@ mod tests {
         let nl = b.finish();
         let nl = nl.with_gate_replaced(z.index(), Gate::Xor(y, y));
 
-        let default = lint_netlist(&nl);
-        assert_eq!(default.of(LintId::DeadGate).count(), 1);
-        assert!(default.is_clean());
-
-        let allowed = lint_netlist_with(&nl, &LintConfig::new().allow(LintId::DeadGate));
-        assert_eq!(allowed.of(LintId::DeadGate).count(), 0);
-
-        let denied = lint_netlist_with(&nl, &LintConfig::new().deny(LintId::DeadGate));
-        assert!(!denied.is_clean());
+        let report = lint_netlist(&nl);
+        assert_eq!(report.of(LintId::DeadGate).count(), 1);
+        assert!(report.is_clean());
     }
 
     #[test]

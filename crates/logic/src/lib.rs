@@ -68,6 +68,6 @@ pub use blif::to_blif;
 pub use builder::{Builder, Bus};
 pub use netlist::{Gate, NetId, Netlist, Port, StructuralIssue};
 pub use program::{DffSlotPair, SimProgram, SimWord, TapeOp, TapeStats, Wide, W256, W512};
-pub use tech::{ResourceReport, TimingModel};
+pub use tech::ResourceReport;
 pub use vcd::Tracer;
 pub use verilog::{to_testbench, to_verilog};

@@ -27,44 +27,20 @@ use std::fmt;
 /// Maximum LUT input count for the modeled device (Stratix IV ALUT).
 pub const LUT_K: usize = 6;
 
-/// Delay model constants, loosely calibrated to a mid-speed-grade
-/// Stratix IV: per-LUT delay, per-hop routing delay, register micro
-/// delays (all nanoseconds).
-#[derive(Debug, Clone, Copy)]
-pub struct TimingModel {
-    /// Combinational delay through one LUT (ns).
-    pub t_lut: f64,
-    /// Routing delay per LUT-to-LUT hop (ns).
-    pub t_route: f64,
-    /// Register clock-to-out plus setup (ns).
-    pub t_reg: f64,
-}
+// The delay model, loosely calibrated to a mid-speed-grade Stratix IV:
+// ~0.4 ns through one LUT, ~0.6 ns per LUT-to-LUT routing hop and
+// ~0.7 ns of register clock-to-out plus setup put shallow pipelines in
+// the several-hundred-MHz range, matching the magnitude of Tables III/IV.
+const T_LUT: f64 = 0.4;
+const T_ROUTE: f64 = 0.6;
+const T_REG: f64 = 0.7;
 
-impl Default for TimingModel {
-    fn default() -> Self {
-        // ~0.4 ns LUT, ~0.6 ns routing, ~0.7 ns register overhead gives
-        // shallow pipelines in the several-hundred-MHz range, matching
-        // the magnitude of Tables III/IV.
-        TimingModel {
-            t_lut: 0.4,
-            t_route: 0.6,
-            t_reg: 0.7,
-        }
-    }
-}
-
-impl TimingModel {
-    /// Maximum clock frequency in MHz for a given LUT depth.
-    pub fn fmax_mhz(&self, lut_depth: usize) -> f64 {
-        self.fmax_mhz_f(lut_depth as f64)
-    }
-
-    /// Fractional-depth variant (used by the carry-aware estimate).
-    pub fn fmax_mhz_f(&self, lut_depth: f64) -> f64 {
-        let hops = (lut_depth - 1.0).max(0.0);
-        let period = self.t_reg + self.t_lut * lut_depth + self.t_route * hops;
-        1000.0 / period
-    }
+/// Modeled maximum clock frequency in MHz for a (possibly fractional,
+/// carry-aware) LUT depth.
+fn fmax_mhz(lut_depth: f64) -> f64 {
+    let hops = (lut_depth - 1.0).max(0.0);
+    let period = T_REG + T_LUT * lut_depth + T_ROUTE * hops;
+    1000.0 / period
 }
 
 /// Resource usage summary for one netlist — the row format of the
@@ -95,13 +71,8 @@ pub struct ResourceReport {
 }
 
 impl ResourceReport {
-    /// Analyzes a netlist under the default timing model.
+    /// Analyzes a netlist.
     pub fn of(netlist: &Netlist) -> ResourceReport {
-        Self::with_model(netlist, TimingModel::default())
-    }
-
-    /// Analyzes a netlist under a custom timing model.
-    pub fn with_model(netlist: &Netlist, model: TimingModel) -> ResourceReport {
         let live = netlist.live_mask();
         let registers = netlist
             .gates()
@@ -126,8 +97,8 @@ impl ResourceReport {
             registers,
             lut_depth,
             carry_aware_depth,
-            fmax_mhz: model.fmax_mhz(lut_depth.max(1)),
-            fmax_carry_mhz: model.fmax_mhz_f(carry_aware_depth.max(0.5)),
+            fmax_mhz: fmax_mhz(lut_depth.max(1) as f64),
+            fmax_carry_mhz: fmax_mhz(carry_aware_depth.max(0.5)),
             gate_count: netlist.len(),
         }
     }
@@ -370,11 +341,10 @@ mod tests {
 
     #[test]
     fn fmax_decreases_with_depth() {
-        let m = TimingModel::default();
-        assert!(m.fmax_mhz(1) > m.fmax_mhz(3));
-        assert!(m.fmax_mhz(3) > m.fmax_mhz(10));
+        assert!(fmax_mhz(1.0) > fmax_mhz(3.0));
+        assert!(fmax_mhz(3.0) > fmax_mhz(10.0));
         // Single-level logic lands in the plausible FPGA range.
-        let f1 = m.fmax_mhz(1);
+        let f1 = fmax_mhz(1.0);
         assert!((300.0..1000.0).contains(&f1), "{f1}");
     }
 

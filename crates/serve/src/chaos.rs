@@ -162,15 +162,6 @@ impl ChaosProxy {
         *self.shared.upstream.lock().expect("upstream lock") = upstream;
     }
 
-    /// Appends more faults to the schedule.
-    pub fn push_faults(&self, faults: &[Fault]) {
-        self.shared
-            .schedule
-            .lock()
-            .expect("schedule lock")
-            .extend(faults.iter().copied());
-    }
-
     /// Stops accepting, shoots down every live connection, joins every
     /// thread, and reports. Idempotent teardown: safe even when every
     /// pump already exited.

@@ -229,15 +229,6 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries — every transport fault is
-    /// immediately loud (the `FaultPolicy::Panic` analogue).
-    pub fn no_retry() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The deterministic backoff before 0-based retry `attempt`:
     /// half the capped exponential step plus seeded jitter over the
     /// other half, so concurrent clients sharing a policy but not a

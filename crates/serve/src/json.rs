@@ -95,11 +95,6 @@ impl Json {
         }
     }
 
-    /// [`Json::as_u64`] narrowed to `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

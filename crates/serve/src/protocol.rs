@@ -192,7 +192,8 @@ pub fn request_attempt(payload: &[u8]) -> u64 {
 }
 
 /// Parses and validates one request payload; `default_chunk` is the
-/// server-configured chunk size used when a request omits `"chunk"`.
+/// chunk size used when a request omits `"chunk"` (the server passes
+/// [`DEFAULT_CHUNK`]).
 /// On failure the error carries the best-effort id/command echo for
 /// the error envelope.
 pub fn parse_request(payload: &[u8], default_chunk: usize) -> Result<(u64, Request), RequestError> {

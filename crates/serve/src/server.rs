@@ -89,9 +89,6 @@ pub const DEADLINE_MSG: &str = "request deadline exceeded";
 pub struct ServeOptions {
     /// Worker-pool threads executing requests and block shards.
     pub workers: usize,
-    /// Chunk size (packed words per binary frame) when a request omits
-    /// `"chunk"`.
-    pub default_chunk: usize,
     /// When set, every envelope reports this latency instead of the
     /// measured one. Golden-transcript tests pin `Some(0)` so response
     /// bytes are reproducible (the `stats` `uptime_ms` field is pinned
@@ -133,7 +130,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             workers: 4,
-            default_chunk: DEFAULT_CHUNK,
             fixed_micros: None,
             store_dir: None,
             max_conns: 0,
@@ -843,7 +839,7 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
     if crate::protocol::request_attempt(&payload) > 0 {
         stats.retries_observed.fetch_add(1, Ordering::Relaxed);
     }
-    let (id, request) = match parse_request(&payload, ctx.shared.options.default_chunk) {
+    let (id, request) = match parse_request(&payload, DEFAULT_CHUNK) {
         Ok(parsed) => parsed,
         Err(e) => {
             stats.commands[command_slot(&e.command)].fetch_add(1, Ordering::Relaxed);
@@ -1180,7 +1176,6 @@ fn shed_connection(shared: &Shared, stream: Stream) {
 /// caller already knows the endpoint.
 pub fn serve(listener: Listener, options: ServeOptions) -> io::Result<ServeSummary> {
     assert!(options.workers >= 1, "need at least one worker");
-    assert!(options.default_chunk >= 1, "need a positive default chunk");
     let endpoint = listener.endpoint()?;
     let pool = Arc::new(PoolShared::default());
     let shared = Arc::new(Shared {

@@ -69,8 +69,8 @@ pub use campaign::{
 };
 pub use exhaustive::{exhaustive_check_scalar, ExhaustiveMismatch, WideExpectation};
 pub use miter::{
-    prove_against_table, prove_against_table_budgeted, prove_equivalent, prove_equivalent_budgeted,
-    prove_inverse_identity, prove_pipelined_equivalent, ProofStats, ProveOutcome,
+    prove_against_table, prove_equivalent, prove_inverse_identity, prove_pipelined_equivalent,
+    ProofStats, ProveOutcome,
 };
 pub use onehot::{
     check_one_hot_bank, check_one_hot_bank_escalated, check_one_hot_bank_sat, OneHotReport,

@@ -63,8 +63,6 @@ pub enum ProveOutcome {
     /// A concrete counterexample, decoded through the tape into the
     /// exhaustive sweeps' first-mismatch format.
     Refuted(ExhaustiveMismatch, ProofStats),
-    /// The conflict budget ran out before a verdict.
-    Unknown(ProofStats),
 }
 
 impl ProveOutcome {
@@ -76,9 +74,21 @@ impl ProveOutcome {
     /// The proof statistics, whatever the verdict.
     pub fn stats(&self) -> ProofStats {
         match self {
-            ProveOutcome::Proved(s) | ProveOutcome::Refuted(_, s) | ProveOutcome::Unknown(s) => *s,
+            ProveOutcome::Proved(s) | ProveOutcome::Refuted(_, s) => *s,
         }
     }
+}
+
+/// Solves an obligation's CNF to a verdict: `None` is UNSAT — the
+/// proof — and `Some(model)` a refutation witness.
+fn solve(cnf: &Cnf) -> (Option<Vec<bool>>, ProofStats) {
+    let (result, stats) = cnf.solve();
+    let model = match result {
+        SatResult::Sat(model) => Some(model),
+        SatResult::Unsat => None,
+        SatResult::Unknown => unreachable!("a solve without a conflict budget always decides"),
+    };
+    (model, ProofStats::new(cnf, stats))
 }
 
 /// One literal per output-bit disagreement, OR-ed into the miter root.
@@ -173,16 +183,6 @@ fn replay_flat(program: &Arc<SimProgram>, index: u64) -> Vec<(String, u64)> {
 /// most 64 total input bits / 64 bits per output port (witness words
 /// are `u64`, like the sweeps).
 pub fn prove_equivalent(a: &Netlist, b: &Netlist) -> Result<ProveOutcome, VerifyError> {
-    prove_equivalent_budgeted(a, b, None)
-}
-
-/// [`prove_equivalent`] with a conflict budget; exceeding it yields
-/// [`ProveOutcome::Unknown`].
-pub fn prove_equivalent_budgeted(
-    a: &Netlist,
-    b: &Netlist,
-    max_conflicts: Option<u64>,
-) -> Result<ProveOutcome, VerifyError> {
     if a.register_count() > 0 || b.register_count() > 0 {
         return Err(VerifyError::Sequential);
     }
@@ -214,32 +214,28 @@ pub fn prove_equivalent_budgeted(
     }
     let root = cnf.or_many(&diffs);
     cnf.assert_lit(root);
-    let (result, stats) = cnf.solve_budgeted(max_conflicts);
-    let proof = ProofStats::new(&cnf, stats);
-    Ok(match result {
-        SatResult::Unsat => ProveOutcome::Proved(proof),
-        SatResult::Unknown => ProveOutcome::Unknown(proof),
-        SatResult::Sat(model) => {
-            let index = read_word(&model, &flat_inputs(&pa, &fa));
-            let got = replay_flat(&pa, index);
-            let want = replay_flat(&pb, index);
-            let (port, g, w) = got
-                .iter()
-                .zip(&want)
-                .find(|((_, g), (_, w))| g != w)
-                .map(|((p, g), (_, w))| (p.clone(), *g, *w))
-                .expect("SAT model must witness a differing output");
-            ProveOutcome::Refuted(
-                ExhaustiveMismatch {
-                    index,
-                    port,
-                    got: g,
-                    want: w,
-                },
-                proof,
-            )
-        }
-    })
+    let (model, proof) = solve(&cnf);
+    let Some(model) = model else {
+        return Ok(ProveOutcome::Proved(proof));
+    };
+    let index = read_word(&model, &flat_inputs(&pa, &fa));
+    let got = replay_flat(&pa, index);
+    let want = replay_flat(&pb, index);
+    let (port, got, want) = got
+        .iter()
+        .zip(&want)
+        .find(|((_, g), (_, w))| g != w)
+        .map(|((p, g), (_, w))| (p.clone(), *g, *w))
+        .expect("SAT model must witness a differing output");
+    Ok(ProveOutcome::Refuted(
+        ExhaustiveMismatch {
+            index,
+            port,
+            got,
+            want,
+        },
+        proof,
+    ))
 }
 
 /// Proves (or refutes) that a combinational netlist matches a packed
@@ -264,17 +260,6 @@ pub fn prove_against_table(
     input: &str,
     output: &str,
     expected: &[u64],
-) -> Result<ProveOutcome, VerifyError> {
-    prove_against_table_budgeted(netlist, input, output, expected, None)
-}
-
-/// [`prove_against_table`] with a conflict budget.
-pub fn prove_against_table_budgeted(
-    netlist: &Netlist,
-    input: &str,
-    output: &str,
-    expected: &[u64],
-    max_conflicts: Option<u64>,
 ) -> Result<ProveOutcome, VerifyError> {
     if netlist.register_count() > 0 {
         return Err(VerifyError::Sequential);
@@ -305,25 +290,20 @@ pub fn prove_against_table_budgeted(
     cnf.assert_lit(in_range);
     let root = miter_root(&mut cnf, &out_lits, &want);
     cnf.assert_lit(root);
-    let (result, stats) = cnf.solve_budgeted(max_conflicts);
-    let proof = ProofStats::new(&cnf, stats);
-    Ok(match result {
-        SatResult::Unsat => ProveOutcome::Proved(proof),
-        SatResult::Unknown => ProveOutcome::Unknown(proof),
-        SatResult::Sat(model) => {
-            let index = read_word(&model, &in_lits);
-            let got = replay(&program, input, index, output, 0);
-            ProveOutcome::Refuted(
-                ExhaustiveMismatch {
-                    index,
-                    port: output.to_string(),
-                    got,
-                    want: expected[index as usize],
-                },
-                proof,
-            )
-        }
-    })
+    let (model, proof) = solve(&cnf);
+    let Some(model) = model else {
+        return Ok(ProveOutcome::Proved(proof));
+    };
+    let index = read_word(&model, &in_lits);
+    Ok(ProveOutcome::Refuted(
+        ExhaustiveMismatch {
+            index,
+            port: output.to_string(),
+            got: replay(&program, input, index, output, 0),
+            want: expected[index as usize],
+        },
+        proof,
+    ))
 }
 
 /// Replays `program` from reset with only `input` driven, held at
@@ -352,7 +332,6 @@ fn replay(program: &Arc<SimProgram>, input: &str, index: u64, output: &str, cycl
 /// # Panics
 /// Panics if the named ports are missing, have mismatched widths
 /// (`f_out` vs `g_in`, `g_out` vs `f_in`), or `f_in` exceeds 63 bits.
-#[allow(clippy::too_many_arguments)] // two (netlist, in, out) triples + bound + budget
 pub fn prove_inverse_identity(
     f: &Netlist,
     f_in: &str,
@@ -361,7 +340,6 @@ pub fn prove_inverse_identity(
     g_in: &str,
     g_out: &str,
     bound: u64,
-    max_conflicts: Option<u64>,
 ) -> Result<ProveOutcome, VerifyError> {
     if f.register_count() > 0 || g.register_count() > 0 {
         return Err(VerifyError::Sequential);
@@ -387,26 +365,21 @@ pub fn prove_inverse_identity(
     cnf.assert_lit(in_range);
     let root = miter_root(&mut cnf, &g_out_lits, &f_in_lits);
     cnf.assert_lit(root);
-    let (result, stats) = cnf.solve_budgeted(max_conflicts);
-    let proof = ProofStats::new(&cnf, stats);
-    Ok(match result {
-        SatResult::Unsat => ProveOutcome::Proved(proof),
-        SatResult::Unknown => ProveOutcome::Unknown(proof),
-        SatResult::Sat(model) => {
-            let index = read_word(&model, &f_in_lits);
-            let mid = replay(&pf, f_in, index, f_out, 0);
-            let got = replay(&pg, g_in, mid, g_out, 0);
-            ProveOutcome::Refuted(
-                ExhaustiveMismatch {
-                    index,
-                    port: g_out.to_string(),
-                    got,
-                    want: index,
-                },
-                proof,
-            )
-        }
-    })
+    let (model, proof) = solve(&cnf);
+    let Some(model) = model else {
+        return Ok(ProveOutcome::Proved(proof));
+    };
+    let index = read_word(&model, &f_in_lits);
+    let mid = replay(&pf, f_in, index, f_out, 0);
+    Ok(ProveOutcome::Refuted(
+        ExhaustiveMismatch {
+            index,
+            port: g_out.to_string(),
+            got: replay(&pg, g_in, mid, g_out, 0),
+            want: index,
+        },
+        proof,
+    ))
 }
 
 /// Bounded model check: proves (or refutes) that the pipelined netlist
@@ -424,7 +397,6 @@ pub fn prove_inverse_identity(
 /// # Panics
 /// Panics if ports are missing, widths mismatch, or `input` exceeds
 /// 63 bits.
-#[allow(clippy::too_many_arguments)]
 pub fn prove_pipelined_equivalent(
     seq: &Netlist,
     comb: &Netlist,
@@ -432,7 +404,6 @@ pub fn prove_pipelined_equivalent(
     output: &str,
     latency: usize,
     bound: u64,
-    max_conflicts: Option<u64>,
 ) -> Result<ProveOutcome, VerifyError> {
     if comb.register_count() > 0 {
         return Err(VerifyError::Sequential);
@@ -455,26 +426,20 @@ pub fn prove_pipelined_equivalent(
     cnf.assert_lit(in_range);
     let root = miter_root(&mut cnf, &seq_out, &comb_out);
     cnf.assert_lit(root);
-    let (result, stats) = cnf.solve_budgeted(max_conflicts);
-    let proof = ProofStats::new(&cnf, stats);
-    Ok(match result {
-        SatResult::Unsat => ProveOutcome::Proved(proof),
-        SatResult::Unknown => ProveOutcome::Unknown(proof),
-        SatResult::Sat(model) => {
-            let index = read_word(&model, &in_lits);
-            let got = replay(&ps, input, index, output, latency);
-            let want = replay(&pc, input, index, output, 0);
-            ProveOutcome::Refuted(
-                ExhaustiveMismatch {
-                    index,
-                    port: output.to_string(),
-                    got,
-                    want,
-                },
-                proof,
-            )
-        }
-    })
+    let (model, proof) = solve(&cnf);
+    let Some(model) = model else {
+        return Ok(ProveOutcome::Proved(proof));
+    };
+    let index = read_word(&model, &in_lits);
+    Ok(ProveOutcome::Refuted(
+        ExhaustiveMismatch {
+            index,
+            port: output.to_string(),
+            got: replay(&ps, input, index, output, latency),
+            want: replay(&pc, input, index, output, 0),
+        },
+        proof,
+    ))
 }
 
 #[cfg(test)]
@@ -607,8 +572,7 @@ mod tests {
             b.output_bus("y", &y);
             b.finish()
         };
-        let outcome =
-            prove_inverse_identity(&build(), "x", "y", &build(), "x", "y", 8, None).unwrap();
+        let outcome = prove_inverse_identity(&build(), "x", "y", &build(), "x", "y", 8).unwrap();
         assert!(outcome.is_proved(), "got {outcome:?}");
         // And g = identity is *not* the inverse of f.
         let ident = {
@@ -618,7 +582,7 @@ mod tests {
             b.finish()
         };
         let ProveOutcome::Refuted(m, _) =
-            prove_inverse_identity(&build(), "x", "y", &ident, "x", "y", 8, None).unwrap()
+            prove_inverse_identity(&build(), "x", "y", &ident, "x", "y", 8).unwrap()
         else {
             panic!("identity is not f's inverse");
         };
@@ -639,30 +603,16 @@ mod tests {
         let x = cb.input_bus("x", 2);
         cb.output_bus("y", &x);
         let comb = cb.finish();
-        let outcome = prove_pipelined_equivalent(&seq, &comb, "x", "y", 2, 4, None).unwrap();
+        let outcome = prove_pipelined_equivalent(&seq, &comb, "x", "y", 2, 4).unwrap();
         assert!(outcome.is_proved(), "got {outcome:?}");
         // With the wrong latency the check must refute (output still
         // in flight: frame 1 shows the reset value for some input).
         let ProveOutcome::Refuted(m, _) =
-            prove_pipelined_equivalent(&seq, &comb, "x", "y", 1, 4, None).unwrap()
+            prove_pipelined_equivalent(&seq, &comb, "x", "y", 1, 4).unwrap()
         else {
             panic!("latency-1 read of a latency-2 pipe must refute");
         };
         assert_ne!(m.got, m.want);
         assert_eq!(m.want, m.index);
-    }
-
-    #[test]
-    fn budget_zero_yields_unknown() {
-        // A miter with real search space and no budget to explore it.
-        let a = adder(true);
-        let b = adder(false);
-        match prove_equivalent_budgeted(&a, &b, Some(0)).unwrap() {
-            ProveOutcome::Unknown(_) => {}
-            // Encoding may collapse the miter at level 0, in which case
-            // even a zero budget proves it — accept both, reject Refuted.
-            ProveOutcome::Proved(_) => {}
-            ProveOutcome::Refuted(m, _) => panic!("phantom refutation {m}"),
-        }
     }
 }

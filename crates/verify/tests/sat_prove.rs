@@ -39,17 +39,8 @@ fn converter_n6_table_conformance_proved() {
 fn rank_unrank_roundtrip_identity_proved() {
     let conv = converter_netlist(5, ConverterOptions::default());
     let rank = PermToIndexConverter::new(5).netlist().clone();
-    let out = prove_inverse_identity(
-        &conv,
-        "index",
-        "perm",
-        &rank,
-        "perm",
-        "index",
-        factorial(5),
-        None,
-    )
-    .unwrap();
+    let out = prove_inverse_identity(&conv, "index", "perm", &rank, "perm", "index", factorial(5))
+        .unwrap();
     assert!(matches!(out, ProveOutcome::Proved(_)), "{out:?}");
 }
 
@@ -63,8 +54,7 @@ fn pipelined_converter_bmc_equals_combinational_twin() {
         },
     );
     let comb = converter_netlist(4, ConverterOptions::default());
-    let out =
-        prove_pipelined_equivalent(&pipe, &comb, "index", "perm", 3, factorial(4), None).unwrap();
+    let out = prove_pipelined_equivalent(&pipe, &comb, "index", "perm", 3, factorial(4)).unwrap();
     assert!(matches!(out, ProveOutcome::Proved(_)), "{out:?}");
 }
 

@@ -137,7 +137,8 @@ fn hwperm_bin() -> PathBuf {
 
 /// The usage contract at the binary: a malformed invocation of every
 /// subcommand (and an unknown command) exits 2, prints nothing on
-/// stdout and one `hwperm: ` message on stderr.
+/// stdout and one `hwperm: ` message on stderr. Stray arguments,
+/// unknown flags and out-of-range worker counts are malformed too.
 #[test]
 fn malformed_invocations_exit_2_with_a_message() {
     let bin = hwperm_bin();
@@ -149,15 +150,25 @@ fn malformed_invocations_exit_2_with_a_message() {
         &["variation", "5", "2", "20"],
         &["rank-variation", "5", "1", "1"],
         &["random"],
+        &["random", "4", "1", "2", "junk"],
         &["random-circuit", "1"],
+        &["random-circuit", "4", "1", "junk"],
         &["all"],
+        &["all", "3", "0", "2", "junk"],
         &["resources", "nosuch", "4"],
         &["lint", "nosuch", "4"],
         &["prove", "4", "--family", "sort"],
+        &["prove", "3", "junk"],
         &["bias", "1", "2"],
         &["sort", "5"],
         &["faults", "4", "--family", "shuffle"],
+        &["faults", "3", "junk"],
+        &["faults", "3", "--width", "64"],
+        &["faults", "3", "--jobs", "100000"],
         &["verify", "20"],
+        &["verify", "6", "junk"],
+        &["verify", "6", "--batch"],
+        &["verify", "6", "--width", "64"],
         &["verilog", "nosuch", "4"],
         &["serve"],
         &["client"],
