@@ -4,7 +4,7 @@
 use crate::with_commas;
 use hwperm_bignum::Ubig;
 use hwperm_circuits::SortingNetwork;
-use hwperm_core::{parallel_count, ParallelPlan};
+use hwperm_core::parallel_count;
 use hwperm_factoradic::{factorials_u64, unrank_u64};
 use hwperm_perm::{bits_per_element, Permutation};
 use std::fmt::Write as _;
@@ -108,9 +108,8 @@ pub fn parallel_scaling(n: usize) -> String {
     .unwrap();
     let mut base_ms = None;
     for workers in [1usize, 2, 4, 8] {
-        let plan = ParallelPlan::full(n, workers);
         let start = Instant::now();
-        let count = parallel_count(&plan, |p| p.is_derangement());
+        let count = parallel_count(n, workers, |p| p.is_derangement());
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let base = *base_ms.get_or_insert(ms);
         writeln!(

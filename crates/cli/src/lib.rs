@@ -14,7 +14,7 @@ use hwperm_circuits::{
 };
 use hwperm_core::{CircuitRandomSource, RandomPermSource, SoftwareRandomSource};
 use hwperm_factoradic::{
-    rank, rank_combination, rank_variation, unrank, unrank_combination, unrank_variation,
+    pull, rank, rank_combination, rank_variation, unrank, unrank_combination, unrank_variation,
     IndexedPermutations,
 };
 use hwperm_logic::{Netlist, ResourceReport, SimProgram, SimWord, W512};
@@ -318,12 +318,11 @@ fn tape_stats_json(netlist: Netlist) -> String {
         .join(",");
     format!(
         "{{\"ops\":{},\"unfused_ops\":{},\"fused_away\":{},\
-         \"levels\":{},\"blocks\":{},\"op_counts\":{{{op_counts}}}}}",
+         \"levels\":{},\"op_counts\":{{{op_counts}}}}}",
         stats.ops,
         stats.unfused_ops,
         stats.fused_away(),
         stats.levels,
-        stats.blocks,
     )
 }
 
@@ -1122,33 +1121,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     )))
                 }
             };
-            // Obligations are independent; a small worker pool pulls
-            // family indices off a shared counter.
-            type FamilyVerdict = Result<(&'static str, hwperm_verify::ProveOutcome), CliError>;
-            let workers = jobs.min(families.len());
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<FamilyVerdict>>> = families
-                .iter()
-                .map(|_| std::sync::Mutex::new(None))
-                .collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(fam) = families.get(i) else { break };
-                        let verdict = prove_family(fam, n, store);
-                        *slots[i].lock().expect("prove slot poisoned") = Some(verdict);
-                    });
-                }
+            // Obligations are independent but very uneven in cost, so
+            // workers pull families off one shared cursor.
+            let verdicts = pull(families.len(), jobs, |i| {
+                prove_family(families[i], n, store)
             });
             let mut out = String::new();
             let mut failures = 0usize;
-            for (i, fam) in families.iter().enumerate() {
-                let verdict = slots[i]
-                    .lock()
-                    .expect("prove slot poisoned")
-                    .take()
-                    .expect("prove worker finished every family");
+            for (i, (fam, verdict)) in families.iter().zip(verdicts).enumerate() {
                 if i > 0 && json {
                     out.push(',');
                 }

@@ -15,7 +15,8 @@
 //!   by the software Knuth shuffle, the Fig. 3 circuit, its exact
 //!   software mirror, and the Fig. 2 random-index method;
 //! - [`parallel`]: fork–join block generation over `[0, n!)` — the
-//!   "parallel machines interacting through a shared memory" use case;
+//!   "parallel machines interacting through a shared memory" use case,
+//!   on `hwperm_factoradic`'s contiguous block split;
 //! - [`montecarlo`]: the paper's Section III experiments (Fig. 4
 //!   uniformity histogram, derangement-based estimation of `e`).
 //!
@@ -47,9 +48,9 @@ pub use montecarlo::{
     chi_square_uniform, derangement_experiment, derangement_experiment_packed, fig4_histogram,
     DerangementResult,
 };
-pub use parallel::{parallel_count, parallel_reduce, ParallelPlan};
+pub use parallel::{parallel_count, parallel_reduce};
 pub use sources::{
     CascadeSource, CircuitRandomSource, CircuitSource, PermutationSource, RandomIndexSource,
     RandomPermSource, SoftwareRandomSource, SoftwareSource,
 };
-pub use stream::{PackedPermutationStream, PermutationStream};
+pub use stream::PermutationStream;

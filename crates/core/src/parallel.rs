@@ -2,111 +2,58 @@
 //!
 //! The paper's converter exists so "parallel machines interact through a
 //! shared memory" can each derive their own permutations. The software
-//! analogue: split `[0, n!)` (or any sub-range) into per-worker blocks,
-//! unrank each block's start once (`O(n²)`), then walk lexicographic
-//! successors (`O(n)` amortized). Workers share nothing but the final
-//! reduction, done over `std::thread` scoped threads.
+//! analogue: split `[0, n!)` into contiguous per-worker blocks
+//! ([`hwperm_factoradic::fan_out`]), unrank each block's start once
+//! (`O(n²)`), then walk lexicographic successors (`O(n)` amortized).
+//! Workers share nothing but the final reduction.
 
 use hwperm_bignum::Ubig;
-use hwperm_factoradic::IndexedPermutations;
+use hwperm_factoradic::{factorials_u64, fan_out, IndexedPermutations};
 use hwperm_perm::Permutation;
 
-/// A partition of an index range into contiguous worker blocks.
-#[derive(Debug, Clone)]
-pub struct ParallelPlan {
-    n: usize,
-    /// Block boundaries: `blocks[i]..blocks[i+1]` is worker `i`'s range.
-    boundaries: Vec<Ubig>,
-}
-
-impl ParallelPlan {
-    /// Splits `[start, end)` (clamped to `n!`) into `workers` near-equal
-    /// blocks.
-    ///
-    /// # Panics
-    /// Panics if `workers == 0` or `start > end`.
-    pub fn new(n: usize, start: &Ubig, end: &Ubig, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        let nfact = Ubig::factorial(n as u64);
-        let end = end.clone().min(nfact);
-        assert!(*start <= end, "start beyond end");
-        let span = &end - start;
-        // Balanced split: the remainder is spread one item each over the
-        // leading blocks, so sizes differ by at most one. (A naive
-        // "last block absorbs the remainder" collapses when the span is
-        // smaller than `workers`: per = 0 and one block gets everything.)
-        let (per, rem) = span.divrem_u64(workers as u64);
-        let one = Ubig::from(1u64);
-        let mut boundaries = Vec::with_capacity(workers + 1);
-        let mut cursor = start.clone();
-        for i in 0..workers {
-            boundaries.push(cursor.clone());
-            cursor = &cursor + &per;
-            if (i as u64) < rem {
-                cursor = &cursor + &one;
-            }
-        }
-        boundaries.push(end);
-        ParallelPlan { n, boundaries }
-    }
-
-    /// The whole space `[0, n!)` over `workers` blocks.
-    pub fn full(n: usize, workers: usize) -> Self {
-        Self::new(n, &Ubig::zero(), &Ubig::factorial(n as u64), workers)
-    }
-
-    /// Number of worker blocks.
-    pub fn workers(&self) -> usize {
-        self.boundaries.len() - 1
-    }
-
-    /// Iterator over worker `i`'s block.
-    pub fn block(&self, i: usize) -> IndexedPermutations {
-        IndexedPermutations::new(
-            self.n,
-            self.boundaries[i].clone(),
-            self.boundaries[i + 1].clone(),
-        )
-    }
-}
-
-/// Counts permutations in `[start, end)` satisfying `predicate`, fanned
-/// out over `workers` OS threads.
-pub fn parallel_count<F>(plan: &ParallelPlan, predicate: F) -> u64
+/// Counts permutations of `n` elements satisfying `predicate`, fanned
+/// out over `workers` threads.
+///
+/// # Panics
+/// Panics if `workers == 0` or `n > 20` (21! exceeds 64 bits).
+pub fn parallel_count<F>(n: usize, workers: usize, predicate: F) -> u64
 where
     F: Fn(&Permutation) -> bool + Sync,
 {
     parallel_reduce(
-        plan,
+        n,
+        workers,
         |block| block.filter(|(_, p)| predicate(p)).count() as u64,
         0u64,
         |a, b| a + b,
     )
 }
 
-/// General fork–join reduction: `map` runs once per worker block on its
-/// own thread; results are folded with `combine` (order-independent
-/// combines recommended; blocks are combined in worker order).
-pub fn parallel_reduce<T, M, C>(plan: &ParallelPlan, map: M, init: T, combine: C) -> T
+/// General fork–join reduction: `[0, n!)` is split into `workers`
+/// contiguous, ascending blocks, `map` runs once per block (block 0 on
+/// the calling thread), and the results are folded with `combine` in
+/// block order.
+///
+/// # Panics
+/// Panics if `workers == 0` or `n > 20` (21! exceeds 64 bits); a
+/// panicking block's payload is resumed on the caller.
+pub fn parallel_reduce<T, M, C>(n: usize, workers: usize, map: M, init: T, combine: C) -> T
 where
     T: Send,
     M: Fn(IndexedPermutations) -> T + Sync,
     C: Fn(T, T) -> T,
 {
-    let results: Vec<T> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..plan.workers())
-            .map(|i| {
-                let block = plan.block(i);
-                let map = &map;
-                scope.spawn(move || map(block))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    results.into_iter().fold(init, combine)
+    assert!(n <= 20, "n = {n} is past 20: {n}! exceeds 64 bits");
+    let total = usize::try_from(factorials_u64(n)[n]).expect("n! fits in usize");
+    fan_out(total, workers, |block| {
+        map(IndexedPermutations::new(
+            n,
+            Ubig::from(block.start as u64),
+            Ubig::from(block.end as u64),
+        ))
+    })
+    .into_iter()
+    .fold(init, combine)
 }
 
 #[cfg(test)]
@@ -114,55 +61,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_blocks_tile_the_range() {
-        let plan = ParallelPlan::full(5, 4);
-        assert_eq!(plan.workers(), 4);
-        let total: usize = (0..4).map(|i| plan.block(i).count()).sum();
-        assert_eq!(total, 120);
-        // Blocks are disjoint and ordered.
-        let mut last = None;
-        for i in 0..4 {
-            for (index, _) in plan.block(i) {
-                if let Some(prev) = last.take() {
-                    assert!(index > prev);
-                }
-                last = Some(index);
-            }
-        }
-    }
-
-    #[test]
-    fn remainder_spread_over_leading_blocks() {
-        // 120 over 7 workers: 120 = 7·17 + 1, so the first block gets 18
-        // and the rest 17 — sizes never differ by more than one.
-        let plan = ParallelPlan::full(5, 7);
-        let sizes: Vec<usize> = (0..7).map(|i| plan.block(i).count()).collect();
-        assert_eq!(sizes, [18, 17, 17, 17, 17, 17, 17]);
-    }
-
-    #[test]
     fn parallel_count_matches_serial_derangements() {
-        // Known: d_6 = 265 derangements of 6 elements.
-        let serial = IndexedPermutations::all(6)
-            .filter(|(_, p)| p.is_derangement())
-            .count() as u64;
-        assert_eq!(serial, 265);
-        for workers in [1usize, 2, 3, 8] {
-            let plan = ParallelPlan::full(6, workers);
-            assert_eq!(
-                parallel_count(&plan, |p| p.is_derangement()),
-                265,
-                "workers = {workers}"
-            );
+        // Known: d_3 = 2 and d_6 = 265 derangements. Eight workers over
+        // the 6 permutations of S_3 leave two blocks empty.
+        for (n, derangements) in [(3usize, 2u64), (6, 265)] {
+            let serial = IndexedPermutations::all(n)
+                .filter(|(_, p)| p.is_derangement())
+                .count() as u64;
+            assert_eq!(serial, derangements);
+            for workers in [1usize, 2, 3, 8] {
+                assert_eq!(
+                    parallel_count(n, workers, |p| p.is_derangement()),
+                    derangements,
+                    "n = {n}, workers = {workers}"
+                );
+            }
         }
     }
 
     #[test]
     fn parallel_reduce_collects_extremes() {
         // Max inversions over all of S_5 must be 10 regardless of split.
-        let plan = ParallelPlan::full(5, 3);
         let max_inv = parallel_reduce(
-            &plan,
+            5,
+            3,
             |block| block.map(|(_, p)| p.inversions()).max().unwrap_or(0),
             0,
             u64::max,
@@ -171,56 +93,34 @@ mod tests {
     }
 
     #[test]
-    fn sub_range_plans() {
-        let plan = ParallelPlan::new(5, &Ubig::from(10u64), &Ubig::from(50u64), 4);
-        let total: usize = (0..4).map(|i| plan.block(i).count()).sum();
-        assert_eq!(total, 40);
-        assert_eq!(plan.block(0).next().unwrap().0.to_u64(), Some(10));
-    }
-
-    #[test]
-    fn end_clamped_to_n_factorial() {
-        let plan = ParallelPlan::new(4, &Ubig::zero(), &Ubig::from(10_000u64), 2);
-        let total: usize = (0..2).map(|i| plan.block(i).count()).sum();
-        assert_eq!(total, 24);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        ParallelPlan::full(4, 0);
-    }
-
-    #[test]
-    fn more_workers_than_items() {
-        // Degenerate split: 3 items over 8 workers must give the three
-        // leading blocks one item each, not dump all 3 on one block.
-        let plan = ParallelPlan::new(4, &Ubig::zero(), &Ubig::from(3u64), 8);
-        let sizes: Vec<usize> = (0..8).map(|i| plan.block(i).count()).collect();
-        assert_eq!(sizes, [1, 1, 1, 0, 0, 0, 0, 0]);
-        assert_eq!(parallel_count(&plan, |_| true), 3);
-    }
-
-    #[test]
-    fn balanced_split_blocks_stay_contiguous_and_ordered() {
-        // Every (span, workers) pairing tiles the range in order with
-        // block sizes within one of each other.
-        for workers in 1..=9usize {
-            for end in [0u64, 1, 5, 23, 24] {
-                let plan = ParallelPlan::new(4, &Ubig::zero(), &Ubig::from(end), workers);
-                let sizes: Vec<usize> = (0..workers).map(|i| plan.block(i).count()).collect();
-                let total: usize = sizes.iter().sum();
-                assert_eq!(total as u64, end.min(24), "span {end} x {workers}");
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "unbalanced {sizes:?}");
-                let mut next = 0u64;
-                for (i, size) in sizes.iter().enumerate() {
-                    if let Some((first, _)) = plan.block(i).next() {
-                        assert_eq!(first.to_u64(), Some(next), "block {i} not contiguous");
-                    }
-                    next += *size as u64;
-                }
+    fn parallel_reduce_blocks_are_contiguous_and_ordered() {
+        // Each block reports the indices it walked; folded in block
+        // order they must be the balanced shards of 0, 1, …, n! − 1.
+        for n in 1..=5usize {
+            let total = factorials_u64(n)[n] as usize;
+            for workers in 1..=9usize {
+                let blocks = parallel_reduce(
+                    n,
+                    workers,
+                    |block| vec![block.map(|(i, _)| i.to_u64().unwrap() as usize).collect()],
+                    Vec::new(),
+                    |mut acc: Vec<Vec<usize>>, block| {
+                        acc.extend(block);
+                        acc
+                    },
+                );
+                let want: Vec<Vec<usize>> = hwperm_factoradic::shard_ranges(total, workers)
+                    .into_iter()
+                    .map(|shard| shard.collect())
+                    .collect();
+                assert_eq!(blocks, want, "n = {n} x {workers}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "n = 21 is past 20")]
+    fn n_past_20_rejected() {
+        parallel_count(21, 2, |_| true);
     }
 }

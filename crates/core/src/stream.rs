@@ -2,15 +2,11 @@
 //! permutations "one per clock" into a bounded channel, decoupling
 //! generation from consumption — the software analogue of the paper's
 //! pipelined circuit feeding a downstream consumer (hash unit, BDD
-//! evaluator) through a FIFO.
-//!
-//! Two producers share the pattern: [`PermutationStream`] yields
-//! `(Ubig, Permutation)` pairs for any `n`;
-//! [`PackedPermutationStream`] is the `n ≤ 16` fast path, yielding
-//! `(u64, u64)` pairs straight from the block-decoding engine.
+//! evaluator) through a FIFO. [`PermutationStream`] yields
+//! `(Ubig, Permutation)` pairs for any `n`.
 
 use hwperm_bignum::Ubig;
-use hwperm_factoradic::{BlockDecoder, IndexedPermutations};
+use hwperm_factoradic::IndexedPermutations;
 use hwperm_perm::Permutation;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::thread::JoinHandle;
@@ -75,90 +71,6 @@ impl Drop for PermutationStream {
     }
 }
 
-/// How many indices the packed producer decodes per [`BlockDecoder`]
-/// chunk: large enough to amortize the per-chunk bookkeeping, small
-/// enough that a hung-up consumer is noticed promptly.
-const PACKED_CHUNK: u64 = 1024;
-
-/// [`PermutationStream`]'s `u64` fast path: a background worker
-/// block-decodes `(index, packed_word)` pairs — one true unranking per
-/// [`PACKED_CHUNK`] indices, in-place lexicographic successors for the
-/// rest, no allocation in steady state — into a bounded channel.
-///
-/// Limited to `1 ≤ n ≤ 16` so both the index and the packed word fit a
-/// `u64` (the same cap as [`BlockDecoder`]).
-pub struct PackedPermutationStream {
-    receiver: Option<Receiver<(u64, u64)>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl PackedPermutationStream {
-    /// Streams packed permutations with indices in `[start, end)`
-    /// (clamped to `n!`) through a FIFO of `depth` entries.
-    ///
-    /// # Panics
-    /// Panics if `depth == 0`, `n` is outside `1..=16`, or `start > n!`.
-    pub fn new(n: usize, start: u64, end: u64, depth: usize) -> Self {
-        assert!(depth >= 1, "FIFO depth must be at least 1");
-        // Validate on the caller's thread — a panic inside the producer
-        // would be swallowed until join.
-        let mut decoder = BlockDecoder::new(n);
-        let total = decoder.total();
-        assert!(start <= total, "start index beyond n!");
-        let end = end.min(total);
-        let (sender, receiver) = sync_channel(depth);
-        let handle = std::thread::spawn(move || {
-            let mut chunk =
-                Vec::with_capacity(PACKED_CHUNK.min(end.saturating_sub(start)) as usize);
-            let mut base = start;
-            'produce: while base < end {
-                let stop = (base + PACKED_CHUNK).min(end);
-                chunk.clear();
-                decoder.decode_words_into(base..stop, &mut chunk);
-                for (offset, &word) in chunk.iter().enumerate() {
-                    if sender.send((base + offset as u64, word)).is_err() {
-                        break 'produce; // consumer hung up
-                    }
-                }
-                base = stop;
-            }
-        });
-        PackedPermutationStream {
-            receiver: Some(receiver),
-            handle: Some(handle),
-        }
-    }
-
-    /// Streams the whole space `[0, n!)`.
-    pub fn all(n: usize, depth: usize) -> Self {
-        let total = BlockDecoder::new(n).total();
-        Self::new(n, 0, total, depth)
-    }
-
-    /// Receives the next `(index, packed_word)` pair, or `None` when
-    /// the range is exhausted.
-    pub fn recv(&mut self) -> Option<(u64, u64)> {
-        self.receiver.as_ref().and_then(|r| r.recv().ok())
-    }
-}
-
-impl Iterator for PackedPermutationStream {
-    type Item = (u64, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.recv()
-    }
-}
-
-impl Drop for PackedPermutationStream {
-    fn drop(&mut self) {
-        drop(self.receiver.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,58 +121,5 @@ mod tests {
     #[should_panic(expected = "depth")]
     fn zero_depth_rejected() {
         PermutationStream::all(3, 0);
-    }
-
-    #[test]
-    fn packed_stream_matches_permutation_stream() {
-        let packed: Vec<_> = PackedPermutationStream::all(5, 8).collect();
-        let general: Vec<_> = PermutationStream::all(5, 8).collect();
-        assert_eq!(packed.len(), 120);
-        for ((pi, pw), (gi, gp)) in packed.iter().zip(&general) {
-            assert_eq!(gi.to_u64(), Some(*pi));
-            assert_eq!(gp.pack().to_u64(), Some(*pw), "index {pi}");
-        }
-    }
-
-    #[test]
-    fn packed_stream_sub_range_spans_chunk_boundaries() {
-        // A range wider than one producer chunk, not chunk-aligned.
-        let items: Vec<_> = PackedPermutationStream::new(7, 1000, 3500, 16).collect();
-        assert_eq!(items.len(), 2500);
-        assert_eq!(items[0].0, 1000);
-        assert_eq!(items.last().unwrap().0, 3499);
-        for w in items.windows(2) {
-            assert_eq!(w[1].0, w[0].0 + 1);
-        }
-    }
-
-    #[test]
-    fn packed_stream_early_drop_shuts_producer_down() {
-        let mut stream = PackedPermutationStream::all(10, 4); // 3.6M items
-        let (index, word) = stream.recv().unwrap();
-        assert_eq!(index, 0);
-        assert_eq!(word, hwperm_perm::packed_identity_u64(10));
-        drop(stream); // must not hang mid-chunk or leak the producer
-    }
-
-    #[test]
-    fn packed_stream_empty_range_and_end_clamping() {
-        let mut empty = PackedPermutationStream::new(4, 5, 5, 3);
-        assert!(empty.recv().is_none());
-        // end beyond n! is clamped, exactly like PermutationStream.
-        let clamped: Vec<_> = PackedPermutationStream::new(3, 4, 1000, 3).collect();
-        assert_eq!(clamped.len(), 2); // indices 4 and 5 only
-    }
-
-    #[test]
-    #[should_panic(expected = "out of the supported 1..=16")]
-    fn packed_stream_rejects_oversized_n_on_the_caller_thread() {
-        PackedPermutationStream::all(17, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "start index beyond n!")]
-    fn packed_stream_rejects_out_of_range_start() {
-        PackedPermutationStream::new(4, 25, 30, 3);
     }
 }

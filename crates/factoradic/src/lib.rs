@@ -27,6 +27,8 @@
 //! On top of the digits sit [`rank()`](rank::rank)/[`unrank()`](rank::unrank) (permutations),
 //! [`combinadic`] (the companion paper's index → constant-weight-codeword
 //! conversion), and [`iter::IndexedPermutations`] for streaming blocks.
+//! [`shard`] splits index ranges (or any work) across threads, either
+//! into contiguous ordered blocks or through a shared work cursor.
 //!
 //! ```
 //! use hwperm_factoradic::{unrank_u64, rank};
@@ -42,6 +44,7 @@ pub mod combinadic;
 pub mod digits;
 pub mod iter;
 pub mod rank;
+pub mod shard;
 pub mod variations;
 
 pub use block::BlockDecoder;
@@ -51,4 +54,5 @@ pub use digits::{
 };
 pub use iter::IndexedPermutations;
 pub use rank::{rank, rank_u64, try_unrank, unrank, unrank_u64, Unranker};
+pub use shard::{fan_out, pull, shard_ranges};
 pub use variations::{falling_factorial, rank_variation, unrank_variation};

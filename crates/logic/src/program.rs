@@ -43,13 +43,6 @@
 //!   ops one-for-one (fault-site resolution in `hwperm-faults`, VCD
 //!   tracing, CNF encoding of a specific netlist shape) keep the
 //!   canonical tape.
-//! - **Level-blocked execution** — a settle ([`crate::BatchSim::eval`])
-//!   walks the tape in precomputed blocks of consecutive levels sized so
-//!   one block's op metadata and wide-word operands fit in L1, instead of
-//!   one monolithic sweep. Any ascending contiguous segmentation of the
-//!   tape is semantically identical (see [`SimProgram::exec_range`]), so
-//!   blocking is purely a locality decision; oversized levels are split
-//!   at the budget boundary.
 //!
 //! The program is immutable after compilation and intended to be shared
 //! across threads via `Arc<SimProgram>`: per-simulator state shrinks to
@@ -529,8 +522,8 @@ pub struct DffSlotPair {
     pub init: bool,
 }
 
-/// Aggregate tape statistics — op counts by kind, level/block shape,
-/// and what opcode fusion saved. Produced by [`SimProgram::stats`];
+/// Aggregate tape statistics — op counts by kind, level count, and
+/// what opcode fusion saved. Produced by [`SimProgram::stats`];
 /// `hwperm lint --json` reports it per circuit family so fusion wins
 /// are observable without recompiling.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -539,8 +532,6 @@ pub struct TapeStats {
     pub ops: usize,
     /// Logic levels in the tape.
     pub levels: usize,
-    /// Level blocks a settle walks.
-    pub blocks: usize,
     /// Combinational gate count of the source netlist — the op count
     /// an unfused compile of the same netlist produces.
     pub unfused_ops: usize,
@@ -591,13 +582,6 @@ struct Pending {
     has_c: bool,
 }
 
-/// Level-block op budget: ops per block sized so a block's SoA
-/// metadata (13 B/op) plus four touched [`W512`] operands per op
-/// (4 × 64 B) stay within a conservative 32 KiB L1 working set:
-/// `128 × (13 + 256) ≈ 34 KiB`. Narrower words under-fill the budget,
-/// which only means more (still correct) block boundaries.
-const BLOCK_OPS: u32 = 128;
-
 /// A [`Netlist`] compiled to the flat simulation tape. See the module
 /// docs for the layout; construct with [`SimProgram::compile`] (or
 /// [`SimProgram::compile_fused`] for the opcode-fused variant) and
@@ -624,10 +608,6 @@ pub struct SimProgram {
     /// the op count. Level `k` (1-based) occupies
     /// `level_starts[k-1]..level_starts[k]`.
     level_starts: Vec<u32>,
-    /// Tape offset where each execution block starts (see module docs
-    /// on level-blocked execution); `block_starts.last()` is the op
-    /// count.
-    block_starts: Vec<u32>,
     /// Whether the fusion rewriter ran ([`SimProgram::compile_fused`]).
     fused: bool,
     /// Combinational gate count of the source netlist (= op count of
@@ -848,7 +828,6 @@ impl SimProgram {
             args_b.push(slot_of[b as usize]);
             args_sel.push(slot_of[sel as usize]);
         }
-        let block_starts = Self::compute_blocks(&level_starts);
         // State metadata: baked constants and DFF slot pairs.
         let mut consts = Vec::new();
         let mut dffs = Vec::new();
@@ -887,7 +866,6 @@ impl SimProgram {
             args_b,
             args_sel,
             level_starts,
-            block_starts,
             fused: fuse,
             unfused_ops,
             consts,
@@ -1105,27 +1083,6 @@ impl SimProgram {
         }
     }
 
-    /// Greedy level-block boundaries: consecutive levels accumulate
-    /// into a block until it reaches [`BLOCK_OPS`]; a level larger than
-    /// the whole budget is split at the budget boundary (any ascending
-    /// contiguous segmentation is valid — see
-    /// [`SimProgram::exec_range`]).
-    fn compute_blocks(level_starts: &[u32]) -> Vec<u32> {
-        let total = *level_starts.last().expect("level_starts is never empty");
-        let mut blocks = vec![0u32];
-        let mut start = 0u32;
-        for &end in &level_starts[1..] {
-            while end - start >= BLOCK_OPS {
-                start = (start + BLOCK_OPS).min(end);
-                blocks.push(start);
-            }
-        }
-        if *blocks.last().expect("seeded with 0") != total {
-            blocks.push(total);
-        }
-        blocks
-    }
-
     /// The source netlist.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
@@ -1148,12 +1105,6 @@ impl SimProgram {
         self.level_starts.len() - 1
     }
 
-    /// Number of level blocks a settle ([`crate::BatchSim::eval`])
-    /// walks.
-    pub fn block_count(&self) -> usize {
-        self.block_starts.len() - 1
-    }
-
     /// Number of D flip-flops.
     pub fn dff_count(&self) -> usize {
         self.dffs.len()
@@ -1164,8 +1115,8 @@ impl SimProgram {
         self.fused
     }
 
-    /// Aggregate tape statistics: op counts by kind, level/block
-    /// shape, and fusion savings versus the canonical compile.
+    /// Aggregate tape statistics: op counts by kind, level count, and
+    /// fusion savings versus the canonical compile.
     pub fn stats(&self) -> TapeStats {
         let mut counts = [0usize; OpCode::ALL.len()];
         for &code in &self.opcodes {
@@ -1174,7 +1125,6 @@ impl SimProgram {
         TapeStats {
             ops: self.op_count(),
             levels: self.level_count(),
-            blocks: self.block_count(),
             unfused_ops: self.unfused_ops as usize,
             op_counts: OpCode::ALL
                 .iter()
@@ -1234,16 +1184,12 @@ impl SimProgram {
         values
     }
 
-    /// Combinational settle: executes the tape once over `values`,
-    /// walking the precomputed level blocks so each segment's op
-    /// metadata and operand words stay cache-resident. Input and DFF
-    /// slots are read, never written; constant slots were baked at
-    /// construction.
+    /// Combinational settle: executes the whole tape once over
+    /// `values`. Input and DFF slots are read, never written; constant
+    /// slots were baked at construction.
     #[inline]
     pub(crate) fn exec<W: SimWord>(&self, values: &mut [W]) {
-        for w in self.block_starts.windows(2) {
-            self.exec_range(values, w[0] as usize..w[1] as usize);
-        }
+        self.exec_range(values, 0..self.opcodes.len());
     }
 
     /// Executes tape ops `range` (op `j` writes slot
@@ -1251,8 +1197,8 @@ impl SimProgram {
     /// driver interpose on the wave mid-tape: run `0..j+1`, overwrite op
     /// `j`'s output slot, then run `j+1..op_count()` — the mechanism
     /// behind `hwperm-faults`' non-destructive stuck-at overlays. The
-    /// full-tape settle ([`crate::BatchSim::eval`]) is this over the
-    /// level blocks.
+    /// full-tape settle ([`crate::BatchSim::eval`]) is this over
+    /// `0..op_count()`.
     ///
     /// Correctness requires segments be executed in ascending,
     /// contiguous order starting at 0 (the tape is levelized, so op `j`
@@ -1809,7 +1755,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_tapes_stay_levelized_and_blocked() {
+    fn fused_tapes_stay_levelized() {
         let p = SimProgram::compile_fused(adder());
         let base = p.comb_base as usize;
         for j in 0..p.op_count() {
@@ -1822,48 +1768,6 @@ mod tests {
             }
         }
         assert!(p.level_starts.windows(2).all(|w| w[0] <= w[1]));
-        // Block boundaries tile the tape: first 0, last op_count,
-        // strictly ascending, every block within the op budget.
-        assert_eq!(p.block_starts[0], 0);
-        assert_eq!(*p.block_starts.last().unwrap() as usize, p.op_count());
-        assert!(p.block_starts.windows(2).all(|w| w[0] < w[1]));
-        assert!(p
-            .block_starts
-            .windows(2)
-            .all(|w| w[1] - w[0] <= super::BLOCK_OPS));
-        assert_eq!(p.block_count(), p.block_starts.len() - 1);
-    }
-
-    #[test]
-    fn blocked_exec_matches_monolithic_exec_on_large_tapes() {
-        // A wide xor-reduction tree big enough to span several blocks.
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 16);
-        let mut acc = Vec::new();
-        for i in 0..16 {
-            for j in (i + 1)..16 {
-                let g = b.xor(x[i], x[j]);
-                let h = b.and(g, x[(i + j) % 16]);
-                acc.push(h);
-            }
-        }
-        let mut out = acc[0];
-        for &g in &acc[1..] {
-            out = b.or(out, g);
-        }
-        b.output_bus("y", &[out]);
-        let p = SimProgram::compile(b.finish());
-        assert!(p.block_count() > 1, "tape too small to exercise blocking");
-        let mut blocked: Vec<u64> = p.initial_values();
-        let mut monolithic: Vec<u64> = p.initial_values();
-        for (bit, &slot) in p.input_slots("x").to_vec().iter().enumerate() {
-            let w = (bit as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            blocked[slot as usize] = w;
-            monolithic[slot as usize] = w;
-        }
-        p.exec(&mut blocked);
-        p.exec_range(&mut monolithic, 0..p.op_count());
-        assert_eq!(blocked, monolithic);
     }
 
     #[test]
@@ -1894,7 +1798,6 @@ mod tests {
         assert_eq!(s.unfused_ops, 17);
         assert_eq!(s.fused_away(), 0);
         assert_eq!(s.levels, canonical.level_count());
-        assert_eq!(s.blocks, canonical.block_count());
         assert_eq!(s.op_counts.len(), 12, "stable schema lists every opcode");
         let total: usize = s.op_counts.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, s.ops, "per-kind counts sum to the op count");

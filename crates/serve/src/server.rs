@@ -18,8 +18,8 @@
 //! ## Block sharding
 //!
 //! A `block` request over `[start, end)` is split with
-//! [`hwperm_verify::shard_ranges`] — the same contiguous balanced
-//! split as `hwperm_core::ParallelPlan` — into at most
+//! [`hwperm_factoradic::shard_ranges`] — the contiguous balanced split
+//! every sharded job in the workspace uses — into at most
 //! [`ServeOptions::workers`] sub-ranges. Each shard pays one true
 //! unrank and then walks lexicographic successors
 //! ([`BlockDecoder`]), emitting binary chunk frames as it goes. The
@@ -27,7 +27,9 @@
 //! deadlock waiting for itself) and the last shard to finish emits the
 //! envelope. Chunk frames of one request may therefore interleave
 //! arbitrarily with other traffic; their `base` fields are the
-//! reassembly key.
+//! reassembly key. Shards are pool jobs rather than a blocking
+//! [`hwperm_factoradic::fan_out`]: they finish asynchronously, and the
+//! pool bounds how many run at once across all requests.
 //!
 //! ## Shutdown
 //!
@@ -45,13 +47,11 @@ use crate::protocol::{
 };
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_core::{FaultPolicy, GuardedPermSource, RandomPermSource, SoftwareRandomSource};
-use hwperm_factoradic::{rank_u64, BlockDecoder, Unranker};
+use hwperm_factoradic::{rank_u64, shard_ranges, BlockDecoder, Unranker};
 use hwperm_logic::{SimProgram, W512};
 use hwperm_perm::Permutation;
 use hwperm_store::OpenTable;
-use hwperm_verify::{
-    exhaustive_check_parallel_with, expected_permutation_words, shard_ranges, WideExpectation,
-};
+use hwperm_verify::{exhaustive_check_parallel_with, expected_permutation_words, WideExpectation};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};

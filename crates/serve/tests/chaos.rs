@@ -15,12 +15,11 @@ mod common;
 
 use common::watchdog;
 use hwperm_core::{FaultPolicy, GuardedPermSource, RandomPermSource, SoftwareRandomSource};
-use hwperm_factoradic::{rank_u64, BlockDecoder, Unranker};
+use hwperm_factoradic::{rank_u64, shard_ranges, BlockDecoder, Unranker};
 use hwperm_serve::{
     envelope, error_result, spawn, BlockChunk, ChaosProxy, Client, ClientError, Endpoint, Fault,
     Listener, RetryClient, RetryPolicy, ServeOptions, CHUNK_FLAG_LAST, STREAM_SPOT_CHECK_EVERY,
 };
-use hwperm_verify::shard_ranges;
 
 const WORKERS: usize = 2;
 

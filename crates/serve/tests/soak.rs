@@ -5,12 +5,11 @@
 //! chunks are cut, never what they carry.
 
 use hwperm_core::{FaultPolicy, GuardedPermSource, RandomPermSource, SoftwareRandomSource};
-use hwperm_factoradic::{rank_u64, BlockDecoder, Unranker};
+use hwperm_factoradic::{rank_u64, shard_ranges, BlockDecoder, Unranker};
 use hwperm_serve::{
     envelope, envelope_id, error_result, spawn, BlockChunk, Client, Endpoint, Listener, Message,
     ServeOptions, CHUNK_FLAG_LAST, STREAM_SPOT_CHECK_EVERY,
 };
-use hwperm_verify::shard_ranges;
 use std::collections::HashMap;
 
 /// One pipelined request and everything the server must send back.

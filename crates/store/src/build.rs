@@ -9,15 +9,16 @@ use crate::{
     check_store_n, chunk_file_name, hash_words, io_err, table_dir, Order, StoreError,
     DEFAULT_CHUNK_WORDS,
 };
-use hwperm_factoradic::BlockDecoder;
+use hwperm_factoradic::{pull, BlockDecoder};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Knobs for [`build`].
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
-    /// Worker threads pulling chunks off the shared queue.
+    /// Worker threads pulling chunks off one shared cursor
+    /// ([`hwperm_factoradic::pull`]).
     pub jobs: usize,
     /// Words per chunk file (recorded in the manifest; readers follow
     /// the manifest, so tables built with different chunking coexist
@@ -59,15 +60,20 @@ pub struct BuildReport {
 
 /// Build (or resume building) the `n`-table under `store_dir`.
 ///
-/// Pending chunks are distributed to `jobs` workers through a shared
-/// counter; each worker owns its own [`BlockDecoder`] — the same
+/// Pending chunks are distributed to `jobs` workers through
+/// [`hwperm_factoradic::pull`]'s shared cursor; each chunk is
+/// block-decoded with one true unranking — the same
 /// one-true-unrank-per-range idiom as
-/// `expected_permutation_words_parallel` — writes `chunk-*.hwt.tmp`,
-/// renames it into place, and records the chunk in the manifest under
-/// a lock. Output is byte-identical for any worker count, any
+/// `expected_permutation_words_parallel` — written to
+/// `chunk-*.hwt.tmp`, renamed into place, and recorded in the manifest
+/// under a lock. Output is byte-identical for any worker count, any
 /// interleaving, and any interrupt/resume split, because every chunk's
 /// content is a pure function of `(n, chunk index, chunk_words)` and
 /// the manifest renders deterministically.
+///
+/// The first failed write stops workers from starting new chunks;
+/// chunks already written stay recorded, so a rebuild resumes after
+/// them. The error returned is the first one in chunk order.
 pub fn build(
     store_dir: &Path,
     n: usize,
@@ -134,64 +140,43 @@ pub fn build(
         pending.truncate(cap);
     }
 
-    let next = AtomicUsize::new(0);
+    const POISONED: &str = "a build worker panicked while holding the manifest";
     let stop = AtomicBool::new(false);
-    let state = Mutex::new((manifest, None::<StoreError>, 0u64));
-    let workers = options.jobs.min(pending.len().max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut decoder = BlockDecoder::new(n);
-                let mut words: Vec<u64> = Vec::new();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&c) = pending.get(slot) else { return };
-                    let range = {
-                        let guard = state.lock().unwrap();
-                        guard.0.chunk_range(c)
-                    };
-                    words.clear();
-                    decoder.decode_words_into(range.clone(), &mut words);
-                    let shape = ChunkShape {
-                        n,
-                        order: Order::Lex,
-                        base: range.start,
-                        words: words.len() as u32,
-                    };
-                    let bytes = encode_chunk(shape, &words);
-                    let path = dir.join(chunk_file_name(c));
-                    let tmp = dir.join(format!("{}.tmp", chunk_file_name(c)));
-                    let result = write_file_atomic(&tmp, &path, &bytes).and_then(|()| {
-                        let mut guard = state.lock().unwrap();
-                        guard.0.chunks.insert(
-                            c,
-                            ChunkRecord {
-                                words: shape.words,
-                                hash: hash_words(&words),
-                            },
-                        );
-                        guard.2 += bytes.len() as u64;
-                        guard.0.write_atomic(&dir)
-                    });
-                    if let Err(e) = result {
-                        let mut guard = state.lock().unwrap();
-                        guard.1.get_or_insert(e);
-                        stop.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
+    let state = Mutex::new((manifest, 0u64));
+    let written = pull(pending.len(), options.jobs, |slot| {
+        if stop.load(Ordering::Relaxed) {
+            return Ok(());
         }
+        let c = pending[slot];
+        let range = state.lock().expect(POISONED).0.chunk_range(c);
+        let words = BlockDecoder::new(n).decode_words(range.clone());
+        let shape = ChunkShape {
+            n,
+            order: Order::Lex,
+            base: range.start,
+            words: words.len() as u32,
+        };
+        let bytes = encode_chunk(shape, &words);
+        let path = dir.join(chunk_file_name(c));
+        let tmp = dir.join(format!("{}.tmp", chunk_file_name(c)));
+        write_file_atomic(&tmp, &path, &bytes)
+            .and_then(|()| {
+                let mut guard = state.lock().expect(POISONED);
+                guard.0.chunks.insert(
+                    c,
+                    ChunkRecord {
+                        words: shape.words,
+                        hash: hash_words(&words),
+                    },
+                );
+                guard.1 += bytes.len() as u64;
+                guard.0.write_atomic(&dir)
+            })
+            .inspect_err(|_| stop.store(true, Ordering::Relaxed))
     });
 
-    let (mut manifest, error, bytes_written) = state.into_inner().unwrap();
-    if let Some(e) = error {
-        return Err(e);
-    }
+    let (mut manifest, bytes_written) = state.into_inner().expect(POISONED);
+    written.into_iter().collect::<Result<(), _>>()?;
     let built = manifest.chunks.len() as u64 - resumed;
     if manifest.chunks.len() as u64 == chunks_total && !manifest.complete {
         manifest.complete = true;
@@ -267,6 +252,32 @@ mod tests {
         assert_eq!(a, b);
         std::fs::remove_dir_all(&one).unwrap();
         std::fs::remove_dir_all(&four).unwrap();
+    }
+
+    #[test]
+    fn a_failed_chunk_write_is_reported_and_the_build_resumes() {
+        let store = temp_store("fail");
+        let options = BuildOptions {
+            jobs: 2,
+            chunk_words: 32,
+            max_chunks: None,
+        };
+        // An empty directory where chunk 2 belongs makes its rename fail.
+        let blocker = table_dir(&store, 5).join(chunk_file_name(2));
+        std::fs::create_dir_all(&blocker).unwrap();
+        match build(&store, 5, &options).unwrap_err() {
+            StoreError::Io { path, .. } => assert_eq!(path, blocker),
+            other => panic!("expected an I/O error on chunk 2, got {other}"),
+        }
+
+        // The chunks that did land are resumed, the rest are built.
+        std::fs::remove_dir(&blocker).unwrap();
+        let report = build(&store, 5, &options).unwrap();
+        assert!(report.complete);
+        assert_eq!(report.built + report.resumed, 4);
+        let table = crate::OpenTable::open(&store, 5).unwrap().unwrap();
+        assert_eq!(table.load_words().unwrap(), expected_permutation_words(5));
+        std::fs::remove_dir_all(&store).unwrap();
     }
 
     #[test]

@@ -38,9 +38,10 @@
 //! [`build`] generates chunks through the same sharded
 //! [`BlockDecoder`](hwperm_factoradic::BlockDecoder) path as
 //! `hwperm_verify::expected_permutation_words_parallel`: workers pull
-//! chunk indices off a shared counter, each chunk pays one true
-//! unranking plus in-place lexicographic successors, and every chunk
-//! file is written atomically (temp file + rename). The manifest
+//! chunk indices off one shared cursor ([`hwperm_factoradic::pull`]),
+//! each chunk pays one true unranking plus in-place lexicographic
+//! successors, and every chunk file is written atomically (temp file +
+//! rename). The manifest
 //! records completed chunks after each rename, so a killed build
 //! resumes from the manifest instead of restarting — and the resumed
 //! store is byte-identical to a one-shot build, manifest included.

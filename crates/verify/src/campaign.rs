@@ -23,18 +23,18 @@
 //!
 //! Witnesses are deterministic: each fault reports the lowest diverging
 //! index (and, for silent faults, the lowest *validly* diverging
-//! index). Sharding uses the exhaustive sweeps' fan-out over contiguous
-//! ascending [`crate::shard_ranges`] of the universe; verdicts are
-//! per-fault and independent of batch companions — and independent of
-//! lane *width* — so the report is byte-identical for every worker
-//! count and every `SimWord` width.
+//! index). Sharding uses the exhaustive sweeps'
+//! [`hwperm_factoradic::fan_out`] over contiguous ascending shards of
+//! the universe; verdicts are per-fault and independent of batch
+//! companions — and independent of lane *width* — so the report is
+//! byte-identical for every worker count and every `SimWord` width.
 //!
 //! Campaigns always run the canonical (unfused) tape: faults target
 //! arbitrary nets, and opcode fusion elides nets, which would make the
 //! fault universe unresolvable.
 
 use crate::exhaustive::port_width_checked;
-use crate::parallel::fan_out;
+use hwperm_factoradic::fan_out;
 use hwperm_faults::{FaultOverlay, FaultSpec};
 use hwperm_logic::{BatchSim, NetId, Netlist, SimProgram, SimWord, LANES};
 use std::sync::Arc;

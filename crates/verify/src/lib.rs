@@ -81,8 +81,7 @@ pub use oracle::{
     expected_variation_words,
 };
 pub use parallel::{
-    exhaustive_check_parallel_wide, exhaustive_check_parallel_with,
-    find_one_hot_violation_parallel, shard_ranges,
+    exhaustive_check_parallel_wide, exhaustive_check_parallel_with, find_one_hot_violation_parallel,
 };
 
 use hwperm_bdd::{Manager, NodeId};

@@ -4,16 +4,16 @@
 //! — 64 (`u64`), 256 ([`W256`](hwperm_logic::W256)) or 512
 //! ([`W512`](hwperm_logic::W512)) lanes. This module adds the second
 //! axis: the index space `[0, 2^w)` / `[0, n!)` is split into contiguous
-//! per-worker blocks of word-sized batches ([`shard_ranges`] — the same
-//! balanced split as `hwperm_core::ParallelPlan`), and each worker
-//! sweeps its block, so throughput scales as *threads × lanes*.
+//! per-worker blocks of word-sized batches, and each worker sweeps its
+//! block, so throughput scales as *threads × lanes*.
 //!
 //! Every sharded job in this crate — these sweeps, the stuck-at
-//! campaign and the sharded oracle table — runs through one private
-//! fan-out: shard 0 runs on the calling thread and the rest on scoped
-//! threads, results come back in shard order, and a panicking shard's
-//! payload reaches the caller unchanged. `workers = 1` therefore spawns
-//! no thread and is exactly the sequential sweep.
+//! campaign and the sharded oracle table — runs through
+//! [`hwperm_factoradic::fan_out`]: shard 0 runs on the calling thread
+//! and the rest on scoped threads, results come back in shard order,
+//! and a panicking shard's payload reaches the caller unchanged.
+//! `workers = 1` therefore spawns no thread and is exactly the
+//! sequential sweep.
 //!
 //! Workers share exactly one thing: the compiled
 //! [`SimProgram`](hwperm_logic::SimProgram) behind an `Arc`. Each
@@ -41,67 +41,9 @@ use crate::exhaustive::{
     check_batch_range, one_hot_sweep_total, port_width_checked, scan_one_hot_range,
     ExhaustiveMismatch, WideExpectation,
 };
+use hwperm_factoradic::fan_out;
 use hwperm_logic::{BatchSim, Netlist, SimProgram, SimWord, LANES};
-use std::ops::Range;
 use std::sync::Arc;
-
-/// Splits `items` into `workers` contiguous, ascending ranges whose
-/// sizes differ by at most one (the remainder spread over the leading
-/// ranges — the same balanced split as `hwperm_core::ParallelPlan`).
-/// Ranges beyond the item count are empty.
-///
-/// Public because it is the one sharding idiom every fan-out in the
-/// workspace uses (batched sweeps here, block serving in
-/// `hwperm-serve`), and shard boundaries are part of those components'
-/// determinism contracts.
-///
-/// # Panics
-/// Panics if `workers == 0`.
-pub fn shard_ranges(items: usize, workers: usize) -> Vec<Range<usize>> {
-    assert!(workers >= 1, "need at least one worker");
-    let per = items / workers;
-    let rem = items % workers;
-    let mut shards = Vec::with_capacity(workers);
-    let mut cursor = 0usize;
-    for i in 0..workers {
-        let len = per + usize::from(i < rem);
-        shards.push(cursor..cursor + len);
-        cursor += len;
-    }
-    shards
-}
-
-/// Runs `work` on every range of [`shard_ranges`]`(items, workers)` and
-/// returns the results in shard order. Shard 0 runs on the calling
-/// thread, the others on scoped threads.
-///
-/// # Panics
-/// Panics if `workers == 0`; if a shard panics, the first panicking
-/// shard's payload is resumed on the caller unchanged.
-pub(crate) fn fan_out<T: Send>(
-    items: usize,
-    workers: usize,
-    work: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    let mut shards = shard_ranges(items, workers).into_iter();
-    let first = shards.next().expect("one shard per worker");
-    let work = &work;
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = shards
-            .map(|shard| scope.spawn(move || work(shard)))
-            .collect();
-        let mut results = Vec::with_capacity(workers);
-        results.push(work(first));
-        for handle in spawned {
-            results.push(
-                handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-        results
-    })
-}
 
 /// Exhaustive differential sweep: drives `input` with `0, 1, …,
 /// expected.len() - 1`, compares `output` against `expected`, and
@@ -201,7 +143,6 @@ mod tests {
     use super::*;
     use crate::exhaustive_check_scalar;
     use hwperm_logic::{Builder, Gate, W256, W512};
-    use std::thread;
 
     /// Worker counts every sweep is pinned at: sequential (1), even
     /// splits (2, 8) and an odd count (3) whose remainder lands on the
@@ -223,86 +164,6 @@ mod tests {
         ("W256", exhaustive_check_parallel_wide::<W256>),
         ("W512", exhaustive_check_parallel_wide::<W512>),
     ];
-
-    #[test]
-    fn shard_ranges_tile_and_balance() {
-        for workers in 1..=9usize {
-            for items in [0usize, 1, 3, 12, 64, 65] {
-                let shards = shard_ranges(items, workers);
-                assert_eq!(shards.len(), workers);
-                assert_eq!(shards[0].start, 0);
-                assert_eq!(shards[workers - 1].end, items);
-                let mut cursor = 0;
-                let mut sizes = Vec::new();
-                for s in &shards {
-                    assert_eq!(s.start, cursor, "contiguous");
-                    cursor = s.end;
-                    sizes.push(s.len());
-                }
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "unbalanced {sizes:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_sizes_match_parallel_plan() {
-        // Same balanced-split idiom as hwperm_core::ParallelPlan: block
-        // sizes must agree for every (span, workers) pairing.
-        use hwperm_bignum::Ubig;
-        use hwperm_core::ParallelPlan;
-        for workers in [1usize, 2, 3, 7, 8] {
-            for items in [0usize, 3, 12, 24] {
-                let shards = shard_ranges(items, workers);
-                let plan = ParallelPlan::new(4, &Ubig::zero(), &Ubig::from(items as u64), workers);
-                for (i, shard) in shards.iter().enumerate() {
-                    assert_eq!(
-                        shard.len(),
-                        plan.block(i).count(),
-                        "{items} items x {workers} workers, block {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fan_out_runs_shard_zero_on_the_caller_in_shard_order() {
-        let caller = thread::current().id();
-        for workers in WORKER_COUNTS {
-            // 5 items leave 8 workers with empty trailing shards.
-            for items in [0usize, 5, 64] {
-                let results = fan_out(items, workers, |shard| (shard, thread::current().id()));
-                let shards: Vec<Range<usize>> = results.iter().map(|(s, _)| s.clone()).collect();
-                assert_eq!(shards, shard_ranges(items, workers), "{items} x {workers}");
-                assert_eq!(results[0].1, caller, "shard 0 runs on the calling thread");
-                assert!(
-                    results[1..].iter().all(|(_, id)| *id != caller),
-                    "{items} x {workers}: later shards run on spawned threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fan_out_resumes_the_panicking_shards_own_payload() {
-        // Shard 0 panics on the caller; a later shard panics on its own
-        // thread. Either way the caller sees that shard's message.
-        for (workers, bad) in [(1usize, 0usize), (2, 1), (3, 0), (3, 2), (8, 5)] {
-            let payload = std::panic::catch_unwind(|| {
-                fan_out(workers, workers, |shard| {
-                    if shard.start == bad {
-                        panic!("shard {bad} of {workers} failed");
-                    }
-                })
-            })
-            .unwrap_err();
-            assert_eq!(
-                payload.downcast_ref::<String>(),
-                Some(&format!("shard {bad} of {workers} failed"))
-            );
-        }
-    }
 
     #[test]
     #[should_panic(expected = "does not match the 4-bit expectation table")]

@@ -8,7 +8,7 @@
 //! cargo run --release --example tsp_search
 //! ```
 
-use hwperm_core::{parallel_reduce, ParallelPlan};
+use hwperm_core::parallel_reduce;
 use hwperm_perm::Permutation;
 use hwperm_rng::XorShift64Star;
 
@@ -51,9 +51,9 @@ fn main() {
     println!("brute-force TSP over {free}! = 362,880 tours, {workers} workers");
 
     let start = std::time::Instant::now();
-    let plan = ParallelPlan::full(free, workers);
     let best = parallel_reduce(
-        &plan,
+        free,
+        workers,
         |block| {
             let mut best: Option<(u64, Permutation)> = None;
             for (_, perm) in block {
@@ -73,8 +73,15 @@ fn main() {
     .expect("at least one tour");
     let elapsed = start.elapsed();
 
-    println!("optimal tour length: {}", best.0);
-    println!("city order: 0 -> {} -> 0", best.1);
+    let (length, tour) = best;
+    println!("optimal tour length: {length}");
+    // The tour orders the free cities 1..cities, stored 0-based.
+    let order: Vec<String> = tour
+        .as_slice()
+        .iter()
+        .map(|&c| (c + 1).to_string())
+        .collect();
+    println!("city order: 0 -> {} -> 0", order.join(" "));
     println!(
         "searched in {:.2?} ({:.0} tours/s)",
         elapsed,
@@ -85,5 +92,5 @@ fn main() {
     // certified optimum because the index space was covered exactly.
     let random_len = tour_length(&dist, &hwperm_perm::shuffle::knuth_shuffle(free, &mut rng));
     println!("a random tour for comparison: {random_len}");
-    assert!(best.0 <= random_len);
+    assert!(length <= random_len);
 }

@@ -6,7 +6,7 @@ use hwperm_circuits::{
     ConverterOptions, IndexToCombinationConverter, IndexToPermConverter, KnuthShuffleCircuit,
     RandomIndexGenerator, ShuffleOptions, SortingNetwork,
 };
-use hwperm_core::{parallel_count, CircuitSource, ParallelPlan, PermutationSource, SoftwareSource};
+use hwperm_core::{parallel_count, CircuitSource, PermutationSource, SoftwareSource};
 use hwperm_factoradic::{rank, unrank, unrank_combination, IndexedPermutations};
 use hwperm_hash::{ProbeTable, UniquePermTable};
 use hwperm_perm::Permutation;
@@ -148,8 +148,7 @@ fn combination_circuit_tiles_pascals_triangle() {
 fn parallel_derangement_count_matches_circuit_samples() {
     // Exact parallel count over S_6 (265 derangements = 36.8%) and the
     // Knuth shuffle circuit's empirical rate must land close.
-    let plan = ParallelPlan::full(6, 4);
-    let exact = parallel_count(&plan, |p| p.is_derangement());
+    let exact = parallel_count(6, 4, |p| p.is_derangement());
     assert_eq!(exact, 265);
     let p_exact = exact as f64 / 720.0;
 
