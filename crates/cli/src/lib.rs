@@ -99,7 +99,8 @@ usage: hwperm <command> [args]
                                  the exhaustive oracle (family:
                                  converter | rank | combination |
                                  variation | sort | all; default
-                                 converter), 512 faults per tape walk
+                                 converter), 512 indices per pass, each
+                                 fault re-simulating its fan-out cone,
                                  over N worker threads (1..=64); reports
                                  detected / silent / masked verdicts,
                                  coverage percentages, and every silent
@@ -998,8 +999,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 // The converter checks against the independent
                 // block-decoded oracle plus the packed-permutation
                 // validity guard; the other families self-golden
-                // against their fault-free sweep. Each tape walk
-                // retires 512 faults.
+                // against their fault-free sweep. Each pass settles
+                // 512 indices, then each fault re-runs its fan-out cone.
                 let run = |expected: &[u64], valid: Option<&(dyn Fn(u64) -> bool + Sync)>| {
                     hwperm_verify::stuck_at_campaign_wide::<W512>(
                         netlist, input, output, expected, valid, jobs,

@@ -13,12 +13,14 @@
 //! - [`FaultSpec`] — stuck-at-0/1 on any gate output, single-event
 //!   upsets on DFF state, and wired-AND bridges between primary inputs;
 //! - [`FaultOverlay`] — force tables resolved against a shared
-//!   `Arc<SimProgram>` and applied around a caller's `BatchSim` over
-//!   that program, scalar (`FaultOverlay<bool>`) or word-level; the
-//!   batched form runs **one fault per lane** at any `SimWord` width
-//!   ([`FaultOverlay::batched`]), so a campaign retires 64 (`u64`), 256
-//!   (`W256`) or 512 (`W512`) faults per tape walk without ever
-//!   mutating the tape;
+//!   `Arc<SimProgram>` and applied, in every lane, around a caller's
+//!   `BatchSim` over that program at any `SimWord` width, without ever
+//!   mutating the tape. Besides the full faulted settle it re-settles
+//!   only the fault sites' fan-out cones over a fault-free wave and
+//!   restores that wave ([`FaultOverlay::eval_cone`],
+//!   [`FaultOverlay::restore`]), so a campaign settles 64 (`u64`), 256
+//!   (`W256`) or 512 (`W512`) indices once and pays each fault only its
+//!   cone;
 //! - [`FaultyShuffleSource`] — the Fig. 3 generator with injected
 //!   faults, for end-to-end graceful-degradation experiments.
 

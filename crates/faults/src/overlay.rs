@@ -4,155 +4,131 @@
 //! `Arc<SimProgram>` they were resolved against; the value array
 //! belongs to the caller's [`BatchSim`], and the tape itself stays an
 //! immutable program shared with every healthy simulator and every
-//! other overlay. Faults are applied *around* the tape:
+//! other overlay. Faults are applied *around* the tape, in every lane:
 //!
 //! - stuck-at faults on combinational nets interpose on the wave by
-//!   segmented execution (`exec_range` up to the faulted op, force its
-//!   output slot, continue) — the netlist is never rewritten;
+//!   segmented execution (`exec_range` up to the faulted op, write the
+//!   stuck value in its place, continue) — the netlist is never
+//!   rewritten;
 //! - stuck-at faults on state nets (inputs, constants, DFF outputs)
 //!   force the state slot before every settle;
 //! - DFF flips invert the register slot after every capture edge;
 //! - input bridges wire-AND two primary-input slots before every
 //!   settle.
 //!
-//! The overlay is generic over [`SimWord`], with per-lane fault masks:
-//! the scalar `FaultOverlay<bool>` (every fault on the one lane, built
-//! by [`FaultOverlay::new`]) and the batched overlays built by
-//! [`FaultOverlay::batched`] (**one fault per lane**,
-//! [`SimWord::LANES`] lanes — 64 for `u64`, 256 or 512 for the wide
-//! words) share the same force/flip/bridge machinery, so a campaign
-//! sweeps up to `LANES` distinct faults per tape walk. Ports, reset
-//! and probes are the simulator's own.
+//! The overlay works at every [`SimWord`] width, so the lanes carry
+//! different inputs under the same faults. [`FaultOverlay::eval`]
+//! settles the whole tape. [`FaultOverlay::eval_cone`] starts from a
+//! wave the caller has already settled fault-free and re-runs only the
+//! ops the fault sites reach ([`SimProgram::fanout_cone`]);
+//! [`FaultOverlay::restore`] then puts that wave back. Together they
+//! are parallel-pattern single-fault propagation: a campaign settles a
+//! word of input patterns once and pays, per fault, only the fault's
+//! cone. Ports, reset and probes are the simulator's own.
 
 use crate::spec::{resolve, FaultSpec, ResolvedFault};
 use hwperm_logic::{BatchSim, SimProgram, SimWord};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Force applied to a combinational op's output slot, mid-wave.
+/// Stuck value written over a combinational op's output slot, mid-wave.
 #[derive(Debug, Clone, Copy)]
 struct CombForce<W> {
     op: usize,
     slot: usize,
-    mask: W,
-    /// Forced bits, pre-masked (`value ⊆ mask`).
     value: W,
+    /// Position of `op` in the overlay's cone list.
+    cone_pos: usize,
 }
 
-/// Force applied to a state slot before every settle.
+/// Stuck value written over a state slot before every settle.
 #[derive(Debug, Clone, Copy)]
 struct StateForce<W> {
     slot: usize,
-    mask: W,
     value: W,
 }
 
-/// Register-slot inversion applied after every capture edge.
-#[derive(Debug, Clone, Copy)]
-struct Flip<W> {
-    slot: usize,
-    mask: W,
-}
-
-/// Wired-AND of two input slots, applied before every settle.
-#[derive(Debug, Clone, Copy)]
-struct Bridge<W> {
-    a_slot: usize,
-    b_slot: usize,
-    mask: W,
-}
-
-/// Fault force tables resolved against one shared tape, applied
-/// around a caller's [`BatchSim`] over that same tape. See the module
-/// docs; construct one with [`FaultOverlay::new`] (scalar) or
-/// [`FaultOverlay::batched`].
+/// Fault force tables resolved against one shared tape, applied in
+/// every lane around a caller's [`BatchSim`] over that same tape. See
+/// the module docs; construct one with [`FaultOverlay::new`].
 #[derive(Debug)]
 pub struct FaultOverlay<W: SimWord> {
     program: Arc<SimProgram>,
-    /// Sorted by op (one merged entry per faulted op), so the eval loop
-    /// walks ascending contiguous segments as `exec_range` requires.
+    /// Sorted by op (one entry per faulted op), so the eval loops walk
+    /// ascending contiguous segments.
     comb: Vec<CombForce<W>>,
     state: Vec<StateForce<W>>,
-    flips: Vec<Flip<W>>,
-    bridges: Vec<Bridge<W>>,
-}
-
-/// Builds the merged force tables from `(fault, lane mask)` pairs.
-/// Forces on the same slot merge mask-wise; where scalar masks collide,
-/// the later fault wins (documented on [`FaultOverlay::new`]).
-fn build<W: SimWord>(
-    program: Arc<SimProgram>,
-    faults: impl Iterator<Item = (FaultSpec, W)>,
-) -> FaultOverlay<W> {
-    let mut comb: BTreeMap<usize, CombForce<W>> = BTreeMap::new();
-    let mut state: BTreeMap<usize, StateForce<W>> = BTreeMap::new();
-    let mut flips: BTreeMap<usize, Flip<W>> = BTreeMap::new();
-    let mut bridges: Vec<Bridge<W>> = Vec::new();
-    let merge = |mask: &mut W, value: &mut W, m: W, v: bool| {
-        *mask = *mask | m;
-        *value = (*value & !m) | (W::splat(v) & m);
-    };
-    for (fault, m) in faults {
-        match resolve(&program, &fault) {
-            ResolvedFault::CombForce { op, slot, value } => {
-                let e = comb.entry(op).or_insert(CombForce {
-                    op,
-                    slot,
-                    mask: W::splat(false),
-                    value: W::splat(false),
-                });
-                merge(&mut e.mask, &mut e.value, m, value);
-            }
-            ResolvedFault::StateForce { slot, value } => {
-                let e = state.entry(slot).or_insert(StateForce {
-                    slot,
-                    mask: W::splat(false),
-                    value: W::splat(false),
-                });
-                merge(&mut e.mask, &mut e.value, m, value);
-            }
-            ResolvedFault::DffFlip { slot } => {
-                let e = flips.entry(slot).or_insert(Flip {
-                    slot,
-                    mask: W::splat(false),
-                });
-                e.mask = e.mask | m;
-            }
-            ResolvedFault::InputBridge { a_slot, b_slot } => {
-                bridges.push(Bridge {
-                    a_slot,
-                    b_slot,
-                    mask: m,
-                });
-            }
-        }
-    }
-    FaultOverlay {
-        program,
-        comb: comb.into_values().collect(),
-        state: state.into_values().collect(),
-        flips: flips.into_values().collect(),
-        bridges,
-    }
+    /// DFF state slots inverted after every capture edge.
+    flips: Vec<usize>,
+    /// Input slot pairs wired-AND before every settle.
+    bridges: Vec<(usize, usize)>,
+    /// Every op a settle under the faults can change, ascending: the
+    /// faulted ops and the fan-out cones of every forced or bridged
+    /// slot.
+    cone: Vec<u32>,
 }
 
 impl<W: SimWord> FaultOverlay<W> {
-    /// A batched overlay with fault `k` assigned to lane `k`. Lanes
-    /// beyond `faults.len()` are fault-free (useful as a golden lane).
+    /// An overlay applying all of `faults` at once, each in every lane.
+    /// Where two stuck-at faults force the same net, the later one in
+    /// the spec list wins.
     ///
     /// # Panics
-    /// Panics if `faults.len() > W::LANES` or on malformed specs.
-    pub fn batched(program: Arc<SimProgram>, faults: &[FaultSpec]) -> FaultOverlay<W> {
-        assert!(
-            faults.len() <= W::LANES,
-            "{} faults exceed the {}-lane batch width",
-            faults.len(),
-            W::LANES
-        );
-        build(
+    /// Panics on malformed specs (see [`FaultSpec`]).
+    pub fn new(program: Arc<SimProgram>, faults: &[FaultSpec]) -> Self {
+        let mut comb = BTreeMap::new();
+        let mut state = BTreeMap::new();
+        let mut flips = BTreeSet::new();
+        let mut bridges = Vec::new();
+        for fault in faults {
+            match resolve(&program, fault) {
+                ResolvedFault::CombForce { op, slot, value } => {
+                    comb.insert(op, (slot, value));
+                }
+                ResolvedFault::StateForce { slot, value } => {
+                    state.insert(slot, value);
+                }
+                ResolvedFault::DffFlip { slot } => {
+                    flips.insert(slot);
+                }
+                ResolvedFault::InputBridge { a_slot, b_slot } => bridges.push((a_slot, b_slot)),
+            }
+        }
+        let forced = comb.values().map(|&(slot, _)| slot);
+        let state_slots = state.keys().copied();
+        let bridged = bridges.iter().flat_map(|&(a, b)| [a, b]);
+        let mut cone: Vec<u32> = comb.keys().map(|&op| op as u32).collect();
+        for slot in forced.chain(state_slots).chain(bridged) {
+            cone.extend(program.fanout_cone(slot));
+        }
+        cone.sort_unstable();
+        cone.dedup();
+        let comb = comb
+            .into_iter()
+            .map(|(op, (slot, value))| CombForce {
+                op,
+                slot,
+                value: W::splat(value),
+                cone_pos: cone
+                    .binary_search(&(op as u32))
+                    .expect("every faulted op is in the cone"),
+            })
+            .collect();
+        let state = state
+            .into_iter()
+            .map(|(slot, value)| StateForce {
+                slot,
+                value: W::splat(value),
+            })
+            .collect();
+        FaultOverlay {
             program,
-            faults.iter().enumerate().map(|(k, &f)| (f, W::lane_one(k))),
-        )
+            comb,
+            state,
+            flips: flips.into_iter().collect(),
+            bridges,
+            cone,
+        }
     }
 
     /// The shared tape the faults were resolved against.
@@ -172,6 +148,18 @@ impl<W: SimWord> FaultOverlay<W> {
         (program, values)
     }
 
+    /// Applies the bridges, then the state forces, to the value array.
+    fn force_state(&self, values: &mut [W]) {
+        for &(a, b) in &self.bridges {
+            let and = values[a] & values[b];
+            values[a] = and;
+            values[b] = and;
+        }
+        for sf in &self.state {
+            values[sf.slot] = sf.value;
+        }
+    }
+
     /// Combinational settle of `sim` under the fault overlay. Note that
     /// bridge faults overwrite the bridged input slots, so drive input
     /// ports before *every* `eval`, as a hardware testbench would.
@@ -180,21 +168,65 @@ impl<W: SimWord> FaultOverlay<W> {
     /// Panics if `sim` does not run [`FaultOverlay::program`].
     pub fn eval(&self, sim: &mut BatchSim<W>) {
         let (program, values) = self.tape(sim);
-        for br in &self.bridges {
-            let and = (values[br.a_slot] & values[br.b_slot]) & br.mask;
-            values[br.a_slot] = (values[br.a_slot] & !br.mask) | and;
-            values[br.b_slot] = (values[br.b_slot] & !br.mask) | and;
-        }
-        for sf in &self.state {
-            values[sf.slot] = (values[sf.slot] & !sf.mask) | sf.value;
-        }
+        self.force_state(values);
         let mut start = 0;
         for cf in &self.comb {
-            program.exec_range(values, start..cf.op + 1);
-            values[cf.slot] = (values[cf.slot] & !cf.mask) | cf.value;
+            program.exec_range(values, start..cf.op);
+            values[cf.slot] = cf.value;
             start = cf.op + 1;
         }
         program.exec_range(values, start..program.op_count());
+    }
+
+    /// [`FaultOverlay::eval`] limited to the fault sites' fan-out cones.
+    /// `sim` must hold a fault-free settle ([`BatchSim::eval`]) of its
+    /// current inputs and state; every op outside the cones reads only
+    /// unchanged slots, so afterwards the wave equals `eval`'s. Undo it
+    /// with [`FaultOverlay::restore`] before the next overlay's
+    /// `eval_cone` on the same wave.
+    ///
+    /// # Panics
+    /// Panics if `sim` does not run [`FaultOverlay::program`].
+    pub fn eval_cone(&self, sim: &mut BatchSim<W>) {
+        let (program, values) = self.tape(sim);
+        self.force_state(values);
+        let mut start = 0;
+        for cf in &self.comb {
+            program.exec_ops(values, &self.cone[start..cf.cone_pos]);
+            values[cf.slot] = cf.value;
+            start = cf.cone_pos + 1;
+        }
+        program.exec_ops(values, &self.cone[start..]);
+    }
+
+    /// Undoes [`FaultOverlay::eval_cone`]: copies every slot it wrote —
+    /// the forced and bridged state slots and every cone slot — back
+    /// from `settled`, the value array of the fault-free settle it
+    /// started from (see [`BatchSim::tape`]).
+    ///
+    /// # Panics
+    /// Panics if `sim` does not run [`FaultOverlay::program`] or
+    /// `settled` is not one value per slot.
+    pub fn restore(&self, sim: &mut BatchSim<W>, settled: &[W]) {
+        let (program, values) = self.tape(sim);
+        assert!(
+            settled.len() == values.len(),
+            "{} settled values do not match the {}-slot tape",
+            settled.len(),
+            values.len()
+        );
+        for &(a, b) in &self.bridges {
+            values[a] = settled[a];
+            values[b] = settled[b];
+        }
+        for sf in &self.state {
+            values[sf.slot] = settled[sf.slot];
+        }
+        let base = program.comb_base();
+        for &j in &self.cone {
+            let slot = base + j as usize;
+            values[slot] = settled[slot];
+        }
     }
 
     /// One clock of `sim`: faulted settle, capture every DFF, then
@@ -209,21 +241,9 @@ impl<W: SimWord> FaultOverlay<W> {
         self.eval(sim);
         sim.latch();
         let (_, values) = self.tape(sim);
-        for fl in &self.flips {
-            values[fl.slot] = values[fl.slot] ^ fl.mask;
+        for &slot in &self.flips {
+            values[slot] = !values[slot];
         }
-    }
-}
-
-impl FaultOverlay<bool> {
-    /// A scalar overlay applying all of `faults` at once, every fault
-    /// to the single lane. Where two stuck-at faults force the same
-    /// net, the later one in the spec list wins.
-    ///
-    /// # Panics
-    /// Panics on malformed specs (see [`FaultSpec`]).
-    pub fn new(program: Arc<SimProgram>, faults: &[FaultSpec]) -> Self {
-        build(program, faults.iter().map(|&f| (f, true)))
     }
 }
 
@@ -244,7 +264,7 @@ mod tests {
     }
 
     fn adder_sum(program: &Arc<SimProgram>, faults: &[FaultSpec], x: u64, y: u64) -> u64 {
-        let overlay = FaultOverlay::new(Arc::clone(program), faults);
+        let overlay = FaultOverlay::<bool>::new(Arc::clone(program), faults);
         let mut sim = BatchSim::from_program(Arc::clone(program));
         sim.set_input_u64("x", x);
         sim.set_input_u64("y", y);
@@ -320,7 +340,7 @@ mod tests {
         let program = SimProgram::compile_shared(b.finish());
         let dff_net = NetId::forged(1);
         let overlay =
-            FaultOverlay::new(Arc::clone(&program), &[FaultSpec::DffFlip { net: dff_net }]);
+            FaultOverlay::<bool>::new(Arc::clone(&program), &[FaultSpec::DffFlip { net: dff_net }]);
         let mut sim = BatchSim::from_program(program);
         sim.set_input_u64("x", 1);
         overlay.step(&mut sim);
@@ -343,7 +363,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_lanes_match_scalar_single_fault_runs() {
+    fn all_lane_overlays_match_scalar_runs_lane_by_lane() {
+        // One fault per overlay, applied in every lane, each lane a
+        // different input pair.
         let program = adder();
         let faults = [
             FaultSpec::StuckAt {
@@ -359,25 +381,24 @@ mod tests {
                 b: NetId::forged(5),
             },
         ];
-        let overlay = FaultOverlay::<u64>::batched(Arc::clone(&program), &faults);
-        let mut batch = BatchSim::from_program(Arc::clone(&program));
-        for (x, y) in [(0u64, 0u64), (5, 10), (15, 1), (7, 7)] {
-            batch.set_input_u64("x", x);
-            batch.set_input_u64("y", y);
+        let xs: Vec<u64> = (0..64).map(|l| l & 15).collect();
+        let ys: Vec<u64> = (0..64).map(|l| (l * 7 + 3) & 15).collect();
+        for fault in faults {
+            let overlay = FaultOverlay::<u64>::new(Arc::clone(&program), &[fault]);
+            let mut batch = BatchSim::from_program(Arc::clone(&program));
+            batch.set_input_lanes_u64("x", &xs);
+            batch.set_input_lanes_u64("y", &ys);
             overlay.eval(&mut batch);
-            for (k, fault) in faults.iter().enumerate() {
-                let got =
-                    batch.read_output_lane_u64("s", k) | (batch.read_output_lane_u64("c", k) << 4);
+            for lane in 0..64 {
+                let got = batch.read_output_lane_u64("s", lane)
+                    | (batch.read_output_lane_u64("c", lane) << 4);
+                let (x, y) = (xs[lane], ys[lane]);
                 assert_eq!(
                     got,
-                    adder_sum(&program, &[*fault], x, y),
-                    "lane {k} ({fault}), x = {x}, y = {y}"
+                    adder_sum(&program, &[fault], x, y),
+                    "lane {lane} ({fault}), x = {x}, y = {y}"
                 );
             }
-            // Unfaulted lane 3 stays golden.
-            let golden =
-                batch.read_output_lane_u64("s", 3) | (batch.read_output_lane_u64("c", 3) << 4);
-            assert_eq!(golden, x + y, "golden lane, x = {x}, y = {y}");
         }
     }
 
@@ -391,25 +412,9 @@ mod tests {
         assert_eq!(adder_sum(&program, &[sa1, sa0], 1, 0), 0);
     }
 
-    #[test]
-    #[should_panic(expected = "65 faults exceed the 64-lane batch width")]
-    fn batch_width_overflow_message_pinned() {
-        let program = adder();
-        let faults: Vec<FaultSpec> = (0..65)
-            .map(|_| FaultSpec::StuckAt {
-                net: NetId::forged(0),
-                value: false,
-            })
-            .collect();
-        let _ = FaultOverlay::<u64>::batched(program, &faults);
-    }
-
-    #[test]
-    fn wide_batched_lanes_match_scalar_past_lane_64() {
-        use hwperm_logic::W256;
-        // More faults than any u64 batch can hold: the whole stuck-at
-        // universe of an 8-bit adder (2 faults per net), one W256 lane
-        // each, cross-checked against one scalar overlay per fault.
+    /// 8-bit adder with a carry-out, its whole single-stuck-at
+    /// universe (2 faults per net), and 256 different input pairs.
+    fn adder8_universe() -> (Arc<SimProgram>, Vec<FaultSpec>, Vec<u64>, Vec<u64>) {
         let mut b = Builder::new();
         let x = b.input_bus("x", 8);
         let y = b.input_bus("y", 8);
@@ -417,8 +422,7 @@ mod tests {
         b.output_bus("s", &s);
         b.output_bus("c", &[c]);
         let program = SimProgram::compile_shared(b.finish());
-        let nets = program.netlist().len();
-        let faults: Vec<FaultSpec> = (0..nets as u32)
+        let faults: Vec<FaultSpec> = (0..program.netlist().len() as u32)
             .flat_map(|i| {
                 [false, true].map(|value| FaultSpec::StuckAt {
                     net: NetId::forged(i),
@@ -426,39 +430,70 @@ mod tests {
                 })
             })
             .collect();
-        assert!(faults.len() > 64, "universe must overflow a u64 batch");
-        let overlay = FaultOverlay::<W256>::batched(Arc::clone(&program), &faults);
-        let mut batch = BatchSim::from_program(Arc::clone(&program));
-        for (x, y) in [(0u64, 0u64), (137, 66), (255, 255)] {
-            batch.set_input_u64("x", x);
-            batch.set_input_u64("y", y);
-            overlay.eval(&mut batch);
-            for (k, fault) in faults.iter().enumerate() {
-                let got =
-                    batch.read_output_lane_u64("s", k) | (batch.read_output_lane_u64("c", k) << 8);
-                let mut scalar = BatchSim::<bool>::from_program(Arc::clone(&program));
-                scalar.set_input_u64("x", x);
-                scalar.set_input_u64("y", y);
-                FaultOverlay::new(Arc::clone(&program), &[*fault]).eval(&mut scalar);
+        let xs: Vec<u64> = (0..256).collect();
+        let ys: Vec<u64> = (0..256).map(|l| (l * 37 + 11) & 255).collect();
+        (program, faults, xs, ys)
+    }
+
+    #[test]
+    fn wide_overlays_match_scalar_past_lane_64() {
+        // Every fault of the 8-bit adder, applied in all 256 lanes of a
+        // W256 word, each lane cross-checked against a scalar run.
+        use hwperm_logic::W256;
+        let (program, faults, xs, ys) = adder8_universe();
+        let mut scalar = BatchSim::<bool>::from_program(Arc::clone(&program));
+        for fault in &faults {
+            let overlay = FaultOverlay::<W256>::new(Arc::clone(&program), &[*fault]);
+            let mut wide = BatchSim::from_program(Arc::clone(&program));
+            wide.set_input_lanes_u64("x", &xs);
+            wide.set_input_lanes_u64("y", &ys);
+            overlay.eval(&mut wide);
+            let one = FaultOverlay::new(Arc::clone(&program), &[*fault]);
+            for lane in 0..256 {
+                let got = wide.read_output_lane_u64("s", lane)
+                    | (wide.read_output_lane_u64("c", lane) << 8);
+                scalar.set_input_u64("x", xs[lane]);
+                scalar.set_input_u64("y", ys[lane]);
+                one.eval(&mut scalar);
                 let want = scalar.read_output_lane_u64("s", 0)
                     | (scalar.read_output_lane_u64("c", 0) << 8);
-                assert_eq!(got, want, "lane {k} ({fault}), x = {x}, y = {y}");
+                assert_eq!(got, want, "lane {lane} ({fault})");
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "257 faults exceed the 256-lane batch width")]
-    fn wide_batch_overflow_names_the_wide_width() {
+    fn cone_eval_equals_full_eval_and_restore_undoes_it() {
+        // Over one fault-free W256 settle of 256 input pairs, every
+        // single stuck-at fault's cone evaluation must leave exactly
+        // the wave a full faulted settle computes, and the restore must
+        // bring back every slot of the fault-free wave. Multi-fault
+        // overlays (a bridge plus neighbouring stuck-ats, whose sites
+        // sit in each other's cones) take the same checks.
         use hwperm_logic::W256;
-        let program = adder();
-        let faults: Vec<FaultSpec> = (0..257)
-            .map(|_| FaultSpec::StuckAt {
-                net: NetId::forged(0),
-                value: false,
-            })
-            .collect();
-        let _ = FaultOverlay::<W256>::batched(program, &faults);
+        let (program, faults, xs, ys) = adder8_universe();
+        let mut sim = BatchSim::<W256>::from_program(Arc::clone(&program));
+        sim.set_input_lanes_u64("x", &xs);
+        sim.set_input_lanes_u64("y", &ys);
+        sim.eval();
+        let settled = sim.tape().1.to_vec();
+        let bridge = FaultSpec::InputBridge {
+            a: NetId::forged(0),
+            b: NetId::forged(8),
+        };
+        let sets = faults
+            .iter()
+            .map(|&fault| vec![fault])
+            .chain(faults.chunks(3).map(|c| [c, &[bridge]].concat()));
+        for set in sets {
+            let overlay = FaultOverlay::new(Arc::clone(&program), &set);
+            let mut full = sim.clone();
+            overlay.eval(&mut full);
+            overlay.eval_cone(&mut sim);
+            assert!(sim.tape().1 == full.tape().1, "cone eval of {set:?}");
+            overlay.restore(&mut sim, &settled);
+            assert!(sim.tape().1 == &settled[..], "restore after {set:?}");
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! `FaultOverlay<u64>`, each applied around a `BatchSim` over the
 //! shared tape, must be bit-identical to a bare `BatchSim<bool>` on the
 //! same netlist — for every registered circuit family, combinational
-//! and sequential alike. The overlay's forcing masks are all zero in
-//! this configuration, so any divergence means the overlay machinery
-//! itself (segmented execution, latch order) disagrees with the
-//! reference tape.
+//! and sequential alike. The overlays force nothing in this
+//! configuration, so any divergence means the overlay machinery itself
+//! (segmented execution, latch order) disagrees with the reference
+//! tape.
 
 use hwperm_bignum::Ubig;
 use hwperm_circuits::families;
@@ -61,9 +61,9 @@ fn assert_parity(family: &str, netlist: &Netlist, cycles: usize, seed: u64) {
         .collect();
     let program = SimProgram::compile_shared(netlist.clone());
     let mut reference = BatchSim::<bool>::new(netlist.clone());
-    let scalar = FaultOverlay::new(program.clone(), &[]);
+    let scalar = FaultOverlay::<bool>::new(program.clone(), &[]);
     let mut scalar_sim = BatchSim::from_program(program.clone());
-    let batch = FaultOverlay::<u64>::batched(program.clone(), &[]);
+    let batch = FaultOverlay::<u64>::new(program.clone(), &[]);
     let mut batch_sim = BatchSim::from_program(program);
 
     for round in 0..2 {

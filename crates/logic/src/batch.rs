@@ -28,9 +28,10 @@
 //! or one word per port bit ([`BatchSim::set_input_words`]), and read
 //! back one lane at a time ([`BatchSim::read_output_lane`],
 //! [`BatchSim::read_output_lane_u64`], and `read_output` on
-//! `BatchSim<bool>`) or one word per port bit
-//! ([`BatchSim::read_output_words`]). The `u64` paths avoid per-index
-//! allocations on the hot loops in `hwperm-verify`.
+//! `BatchSim<bool>`) or 64 lanes per call
+//! ([`BatchSim::read_output_lanes_u64`] on `BatchSim<u64>`). The `u64`
+//! paths avoid per-index allocations on the hot loops in
+//! `hwperm-verify`.
 
 use crate::netlist::{NetId, Netlist};
 use crate::program::{SimProgram, SimWord};
@@ -114,6 +115,14 @@ impl<W: SimWord> BatchSim<W> {
     /// slot `s` of the tape (see [`SimProgram::slot`]).
     pub fn tape_mut(&mut self) -> (&SimProgram, &mut [W]) {
         (&self.program, &mut self.values)
+    }
+
+    /// The read-only twin of [`BatchSim::tape_mut`]: the compiled tape
+    /// and this simulator's value array, slot-indexed. A fault campaign
+    /// keeps a copy of a fault-free settle from here to undo each
+    /// fault's cone evaluation.
+    pub fn tape(&self) -> (&SimProgram, &[W]) {
+        (&self.program, &self.values)
     }
 
     /// Drives an input port with the low bits of `value` (LSB-first),
@@ -222,20 +231,6 @@ impl<W: SimWord> BatchSim<W> {
         for (&slot, &word) in slots.iter().zip(words) {
             self.values[slot as usize] = word;
         }
-    }
-
-    /// Reads an output port directly in the word domain: element `b` of
-    /// the result is the lane word of port bit `b` — the inverse of
-    /// [`BatchSim::set_input_words`].
-    ///
-    /// # Panics
-    /// Panics if the port does not exist.
-    pub fn read_output_words(&self, name: &str) -> Vec<W> {
-        self.program
-            .output_slots(name)
-            .iter()
-            .map(|&s| self.values[s as usize])
-            .collect()
     }
 
     /// Combinational settle: one pass over the compiled tape, all
@@ -684,17 +679,6 @@ mod tests {
             by_lanes.read_output_lanes_u64("s"),
             by_words.read_output_lanes_u64("s")
         );
-        // And reading back in the word domain matches a hand transpose
-        // of the lane-domain view.
-        let out_words = by_words.read_output_words("s");
-        let lanes = by_words.read_output_lanes_u64("s");
-        for (b, &w) in out_words.iter().enumerate() {
-            let expect = lanes
-                .iter()
-                .enumerate()
-                .fold(0u64, |acc, (l, &v)| acc | (((v >> b) & 1) << l));
-            assert_eq!(w, expect, "output bit {b}");
-        }
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   to slot vectors once, at compile time.
 //! - **DFF slot pairs** — `step` latches through a `(q, d)` slot-pair
 //!   list; no gate array scan.
+//! - **Fan-out cones** — [`SimProgram::fanout_cone`] lists the ops a
+//!   slot reaches and [`SimProgram::exec_ops`] runs such a list, so
+//!   code that changes one slot of a settled wave re-settles only what
+//!   that slot can reach (the fault campaigns in `hwperm-verify`).
 //!
 //! Two axes push the tape further (ROADMAP item 2, "the next 3-5x"):
 //!
@@ -102,22 +106,14 @@ pub trait SimWord:
     /// Panics if `lane >= Self::LANES`.
     fn set_lane(&mut self, lane: usize, bit: bool);
 
-    /// The value with only `lane` set — a single-lane mask.
+    /// Lanes `64k .. 64k + 64` as the bits of one `u64` (bit `i` is
+    /// lane `64k + i`; bits past [`SimWord::LANES`] are zero). Reading
+    /// a word 64 lanes at a time is what lets a caller transpose lane
+    /// words into per-lane values with a 64 × 64 bit-matrix transpose.
     ///
     /// # Panics
-    /// Panics if `lane >= Self::LANES`.
-    fn lane_one(lane: usize) -> Self {
-        let mut w = Self::zero();
-        w.set_lane(lane, true);
-        w
-    }
-
-    /// The value with the low `count` lanes set — the live-lane mask of
-    /// a partially filled batch.
-    ///
-    /// # Panics
-    /// Panics if `count > Self::LANES`.
-    fn mask_lanes(count: usize) -> Self;
+    /// Panics if `k >= Self::LANES.div_ceil(64)`.
+    fn limb(self, k: usize) -> u64;
 
     /// `true` if any lane is set.
     #[inline]
@@ -152,9 +148,9 @@ impl SimWord for bool {
     }
 
     #[inline]
-    fn mask_lanes(count: usize) -> bool {
-        assert!(count <= 1, "{count} lanes exceed a 1-lane bool");
-        count == 1
+    fn limb(self, k: usize) -> u64 {
+        assert!(k < 1, "limb {k} out of range for a 1-lane bool");
+        u64::from(self)
     }
 
     #[inline]
@@ -197,19 +193,9 @@ impl SimWord for u64 {
     }
 
     #[inline]
-    fn lane_one(lane: usize) -> u64 {
-        assert!(lane < 64, "lane {lane} out of range for a 64-lane u64");
-        1u64 << lane
-    }
-
-    #[inline]
-    fn mask_lanes(count: usize) -> u64 {
-        assert!(count <= 64, "{count} lanes exceed a 64-lane u64");
-        if count == 64 {
-            u64::MAX
-        } else {
-            (1u64 << count) - 1
-        }
+    fn limb(self, k: usize) -> u64 {
+        assert!(k < 1, "limb {k} out of range for a 64-lane u64");
+        self
     }
 
     #[inline]
@@ -329,18 +315,8 @@ impl<const N: usize> SimWord for Wide<N> {
     }
 
     #[inline]
-    fn mask_lanes(count: usize) -> Self {
-        assert!(
-            count <= Self::LANES,
-            "{count} lanes exceed a {}-lane wide word",
-            Self::LANES
-        );
-        let mut w = [0u64; N];
-        for (k, limb) in w.iter_mut().enumerate() {
-            let low = k * 64;
-            *limb = u64::mask_lanes(count.saturating_sub(low).min(64));
-        }
-        Wide(w)
+    fn limb(self, k: usize) -> u64 {
+        self.0[k]
     }
 
     #[inline]
@@ -587,6 +563,11 @@ struct Pending {
 /// [`SimProgram::compile_fused`] for the opcode-fused variant) and
 /// share across simulator instances (and threads) via
 /// [`SimProgram::compile_shared`].
+///
+/// Keep interior mutability (`Cell`, `OnceLock`, …) out of this struct:
+/// without it `&SimProgram` is `noalias` and read-only, so the tape loop
+/// keeps its column pointers in registers instead of reloading them
+/// after every store to the value array.
 #[derive(Debug)]
 pub struct SimProgram {
     /// The source netlist, retained for port metadata, diagnostics and
@@ -1213,32 +1194,76 @@ impl SimProgram {
             "tape range {range:?} exceeds the {}-op tape",
             self.opcodes.len()
         );
-        let base = self.comb_base as usize;
         for j in range {
-            let a = values[self.args_a[j] as usize];
-            let v = match self.opcodes[j] {
-                OpCode::Not => !a,
-                OpCode::And => a & values[self.args_b[j] as usize],
-                OpCode::Or => a | values[self.args_b[j] as usize],
-                OpCode::Xor => a ^ values[self.args_b[j] as usize],
-                OpCode::Mux => {
-                    let s = values[self.args_sel[j] as usize];
-                    (s & values[self.args_b[j] as usize]) | (!s & a)
-                }
-                OpCode::AndNot => a & !values[self.args_b[j] as usize],
-                OpCode::OrNot => a | !values[self.args_b[j] as usize],
-                OpCode::Nand => !(a & values[self.args_b[j] as usize]),
-                OpCode::Nor => !(a | values[self.args_b[j] as usize]),
-                OpCode::Xnor => !(a ^ values[self.args_b[j] as usize]),
-                OpCode::And3 => {
-                    a & values[self.args_b[j] as usize] & values[self.args_sel[j] as usize]
-                }
-                OpCode::Or3 => {
-                    a | values[self.args_b[j] as usize] | values[self.args_sel[j] as usize]
-                }
-            };
-            values[base + j] = v;
+            self.exec_op(values, j);
         }
+    }
+
+    /// Executes the listed tape ops, in list order. Fed an ascending
+    /// [`SimProgram::fanout_cone`], this re-settles only what a changed
+    /// slot can reach: every other op reads unchanged operands, so its
+    /// slot already holds the value a full settle would write — the
+    /// mechanism behind `hwperm-faults`' cone-limited fault evaluation.
+    ///
+    /// # Panics
+    /// Panics if an op is out of range.
+    #[inline]
+    pub fn exec_ops<W: SimWord>(&self, values: &mut [W], ops: &[u32]) {
+        for &j in ops {
+            self.exec_op(values, j as usize);
+        }
+    }
+
+    /// The one op body behind [`SimProgram::exec_range`] and
+    /// [`SimProgram::exec_ops`]: evaluates op `j` into slot
+    /// `comb_base() + j`.
+    #[inline(always)]
+    fn exec_op<W: SimWord>(&self, values: &mut [W], j: usize) {
+        let a = values[self.args_a[j] as usize];
+        let v = match self.opcodes[j] {
+            OpCode::Not => !a,
+            OpCode::And => a & values[self.args_b[j] as usize],
+            OpCode::Or => a | values[self.args_b[j] as usize],
+            OpCode::Xor => a ^ values[self.args_b[j] as usize],
+            OpCode::Mux => {
+                let s = values[self.args_sel[j] as usize];
+                (s & values[self.args_b[j] as usize]) | (!s & a)
+            }
+            OpCode::AndNot => a & !values[self.args_b[j] as usize],
+            OpCode::OrNot => a | !values[self.args_b[j] as usize],
+            OpCode::Nand => !(a & values[self.args_b[j] as usize]),
+            OpCode::Nor => !(a | values[self.args_b[j] as usize]),
+            OpCode::Xnor => !(a ^ values[self.args_b[j] as usize]),
+            OpCode::And3 => a & values[self.args_b[j] as usize] & values[self.args_sel[j] as usize],
+            OpCode::Or3 => a | values[self.args_b[j] as usize] | values[self.args_sel[j] as usize],
+        };
+        values[self.comb_base as usize + j] = v;
+    }
+
+    /// The fan-out cone of `slot`: every tape op that reads it, directly
+    /// or through other ops, in ascending (tape) order. The op that
+    /// writes `slot` is not part of its own cone, so an output op's cone
+    /// is empty. Forcing `slot` on a settled wave and running
+    /// [`SimProgram::exec_ops`] over its cone re-settles the wave.
+    ///
+    /// One forward scan of the tape from the op that writes `slot`.
+    ///
+    /// # Panics
+    /// Panics if `slot >= slot_count()`.
+    pub fn fanout_cone(&self, slot: usize) -> Vec<u32> {
+        let base = self.comb_base as usize;
+        let mut reached = vec![false; self.slot_count()];
+        reached[slot] = true;
+        // Ops before the one writing `slot` cannot read it.
+        (slot.saturating_sub(base)..self.op_count())
+            .filter(|&j| {
+                let operands = [self.args_a[j], self.args_b[j], self.args_sel[j]];
+                let hit = operands.iter().any(|&o| reached[o as usize]);
+                reached[base + j] |= hit;
+                hit
+            })
+            .map(|j| j as u32)
+            .collect()
     }
 
     /// Clock edge: every DFF latches its settled `d` slot into its `q`
@@ -1468,6 +1493,84 @@ mod tests {
     }
 
     #[test]
+    fn fanout_cones_are_the_ascending_ops_a_slot_reaches() {
+        let nl = adder();
+        let p = SimProgram::compile(nl.clone());
+        // Reference cones from the netlist: nets in creation order are
+        // topological, so one pass marks every net a source reaches.
+        let reference = |source: usize| {
+            let mut reached = vec![false; nl.len()];
+            reached[source] = true;
+            let mut ops: Vec<u32> = Vec::new();
+            for (i, gate) in nl.gates().iter().enumerate().skip(source + 1) {
+                if gate.is_combinational() && gate.fanin().any(|f| reached[f.index()]) {
+                    reached[i] = true;
+                    ops.push((p.slot(NetId::forged(i as u32)) - p.comb_base()) as u32);
+                }
+            }
+            ops.sort_unstable();
+            ops
+        };
+        for net in 0..nl.len() {
+            let slot = p.slot(NetId::forged(net as u32));
+            assert_eq!(p.fanout_cone(slot), reference(net), "net {net}");
+        }
+        // The carry chain: x's LSB reaches every output op; output ops
+        // are read by nothing.
+        let outputs: Vec<u32> = p
+            .output_slots("s")
+            .iter()
+            .chain(p.output_slots("c"))
+            .copied()
+            .collect();
+        let x0_cone = p.fanout_cone(p.input_slots("x")[0] as usize);
+        for &slot in &outputs {
+            assert!(
+                x0_cone.contains(&(slot - p.comb_base() as u32)),
+                "x0 reaches slot {slot}"
+            );
+            assert_eq!(
+                p.fanout_cone(slot as usize),
+                &[] as &[u32],
+                "output slot {slot}"
+            );
+        }
+    }
+
+    #[test]
+    fn executing_a_cone_resettles_a_changed_slot() {
+        // Flip one slot of a settled wave and re-run only its cone: the
+        // result must equal a full settle from the same state slots
+        // (comb slots are forced as an overlay would: the op is skipped
+        // and its flipped value kept).
+        let p = SimProgram::compile(adder());
+        let mut settled: Vec<u64> = p.initial_values();
+        for (k, &slot) in p
+            .input_slots("x")
+            .iter()
+            .chain(p.input_slots("y"))
+            .enumerate()
+        {
+            settled[slot as usize] = 0x9E37_79B9_7F4A_7C15_u64.rotate_left(7 * k as u32);
+        }
+        p.exec(&mut settled);
+        for slot in 0..p.slot_count() {
+            let mut cone_run = settled.clone();
+            cone_run[slot] = !cone_run[slot];
+            p.exec_ops(&mut cone_run, &p.fanout_cone(slot));
+            let mut full = settled.clone();
+            full[slot] = !full[slot];
+            if slot < p.comb_base() {
+                p.exec(&mut full);
+            } else {
+                let j = slot - p.comb_base();
+                p.exec_range(&mut full, j + 1..p.op_count());
+            }
+            assert_eq!(cone_run, full, "slot {slot}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds the 17-op tape")]
     fn exec_range_rejects_out_of_range_ops() {
         let p = SimProgram::compile(adder());
@@ -1541,22 +1644,28 @@ mod tests {
             assert!(!W::zero().any());
             assert!(W::splat(true).any());
             assert_eq!(W::zero().first_lane(), None);
-            assert_eq!(W::mask_lanes(0), W::zero());
-            assert_eq!(W::mask_lanes(W::LANES), W::splat(true));
             for lane in [0, W::LANES / 2, W::LANES - 1] {
-                let one = W::lane_one(lane);
+                let mut one = W::zero();
+                one.set_lane(lane, true);
                 assert!(one.lane(lane), "lane {lane} of {}", W::LANES);
                 assert_eq!(one.first_lane(), Some(lane));
+                // limb(k) holds lanes 64k..64k+64, bit i = lane 64k+i.
+                for k in 0..W::LANES.div_ceil(64) {
+                    let want = if lane / 64 == k {
+                        1u64 << (lane % 64)
+                    } else {
+                        0
+                    };
+                    assert_eq!(one.limb(k), want, "limb {k}, lane {lane} of {}", W::LANES);
+                }
                 let mut w = W::splat(true);
                 w.set_lane(lane, false);
                 assert!(!w.lane(lane));
                 w.set_lane(lane, true);
                 assert_eq!(w, W::splat(true));
-                // mask_lanes(l) covers exactly lanes 0..l.
-                let m = W::mask_lanes(lane + 1);
-                assert!(m.lane(lane));
-                assert!((m & one) == one, "mask includes its top lane");
             }
+            let ones = W::LANES.min(64);
+            assert_eq!(W::splat(true).limb(0).count_ones() as usize, ones);
         }
         probe_width::<bool>();
         probe_width::<u64>();

@@ -4,9 +4,7 @@
 //! cannot: *if a gate breaks, does the output betray it?* For every
 //! fault in the single-stuck-at universe (each net stuck at 0 and at
 //! 1), the campaign ([`stuck_at_campaign_wide`]) sweeps the whole index
-//! space through a batched fault overlay — **one fault per lane**, so
-//! one tape walk retires 64 faults at `u64` and 256/512 at the wide
-//! words — and classifies the fault against the golden expectation:
+//! space and classifies the fault against the golden expectation:
 //!
 //! - **detected** — the output diverges somewhere, and every divergence
 //!   fails the cheap validity predicate (a runtime guard would always
@@ -21,22 +19,33 @@
 //! so `detected + silent` is always "the fault is observable at the
 //! output" — the classic fault-coverage numerator.
 //!
+//! The sweep is parallel-pattern single-fault propagation (PPSFP;
+//! Waicukauski et al., "Fault simulation for structured VLSI", *VLSI
+//! Systems Design*, 1985): **one index per lane**, so a batch of 64
+//! (`u64`), 256 or 512 (the wide words) indices settles fault-free
+//! once, and then each fault whose verdict is still open forces its net
+//! through a `FaultOverlay`, re-runs only the tape ops in its fan-out
+//! cone, and restores them. A fault retires from the sweep once its
+//! verdict is final.
+//!
 //! Witnesses are deterministic: each fault reports the lowest diverging
 //! index (and, for silent faults, the lowest *validly* diverging
-//! index). Sharding uses the exhaustive sweeps'
+//! index). Sharding uses the exhaustive sweeps' split:
 //! [`hwperm_factoradic::fan_out`] over contiguous ascending shards of
-//! the universe; verdicts are per-fault and independent of batch
-//! companions — and independent of lane *width* — so the report is
-//! byte-identical for every worker count and every `SimWord` width.
+//! the index batches. Each shard reports its own lowest sightings, and
+//! the first sighting in shard order is the lowest index; lanes never
+//! mix, so the report is byte-identical for every worker count and
+//! every `SimWord` width.
 //!
 //! Campaigns always run the canonical (unfused) tape: faults target
 //! arbitrary nets, and opcode fusion elides nets, which would make the
 //! fault universe unresolvable.
 
-use crate::exhaustive::port_width_checked;
+use crate::exhaustive::{port_width_checked, WideExpectation};
 use hwperm_factoradic::fan_out;
 use hwperm_faults::{FaultOverlay, FaultSpec};
 use hwperm_logic::{BatchSim, NetId, Netlist, SimProgram, SimWord, LANES};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How one fault manifested over the exhaustive index sweep.
@@ -147,74 +156,125 @@ pub fn single_stuck_at_universe(netlist: &Netlist) -> Vec<FaultSpec> {
         .collect()
 }
 
-/// Sweeps one contiguous slice of the fault universe,
-/// [`SimWord::LANES`] faults per chunk, and returns its verdicts in
-/// slice order. Verdicts and witnesses depend only on the per-fault
-/// lane, never on batch companions, so every width produces the same
-/// output.
-fn campaign_range<W: SimWord>(
+/// What one shard saw of one fault: its lowest diverging index and its
+/// lowest validly diverging index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Witnesses {
+    diverge: Option<u64>,
+    silent: Option<u64>,
+}
+
+impl Witnesses {
+    /// Records what `batch` of `table` shows at the output slots of
+    /// `values`, the batch's faulted wave. Lanes are visited lowest
+    /// first, so the recorded witnesses are the lowest. Returns `true`
+    /// once the verdict is final: at the first divergence without a
+    /// validity predicate, at the first valid divergence with one.
+    fn observe<W: SimWord>(
+        &mut self,
+        values: &[W],
+        out_slots: &[u32],
+        table: &WideExpectation<W>,
+        batch: usize,
+        valid: Option<&(dyn Fn(u64) -> bool + Sync)>,
+    ) -> bool {
+        let mut diff = W::zero();
+        for (&slot, &want) in out_slots.iter().zip(table.wants(batch)) {
+            diff = diff | (values[slot as usize] ^ want);
+        }
+        let diff = diff & table.live(batch);
+        let Some(lane) = diff.first_lane() else {
+            return false;
+        };
+        let first = (batch * W::LANES) as u64;
+        self.diverge.get_or_insert(first + lane as u64);
+        let Some(valid) = valid else {
+            return true;
+        };
+        // Read diverging lanes 64 at a time: transposing a limb of the
+        // output words makes each lane's output word one load.
+        for k in 0..W::LANES.div_ceil(64) {
+            let mut lanes = diff.limb(k);
+            if lanes == 0 {
+                continue;
+            }
+            let mut words = [0u64; 64];
+            for (word, &slot) in words.iter_mut().zip(out_slots) {
+                *word = values[slot as usize].limb(k);
+            }
+            transpose64(&mut words);
+            while lanes != 0 {
+                let lane = lanes.trailing_zeros() as usize;
+                if valid(words[lane]) {
+                    self.silent = Some(first + (64 * k + lane) as u64);
+                    return true;
+                }
+                lanes &= lanes - 1;
+            }
+        }
+        false
+    }
+}
+
+/// Transposes a 64 × 64 bit matrix in place: bit `j` of row `i` trades
+/// places with bit `i` of row `j`. Six rounds swap the off-diagonal
+/// blocks of every 2w × 2w tile, halving w from 32 to 1 (H. S. Warren,
+/// *Hacker's Delight*, 2nd ed., §7-3).
+fn transpose64(rows: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFF_u64;
+    while width != 0 {
+        for tile in rows.chunks_exact_mut(2 * width) {
+            let (top, bottom) = tile.split_at_mut(width);
+            for (a, b) in top.iter_mut().zip(bottom) {
+                let t = ((*a >> width) ^ *b) & mask;
+                *a ^= t << width;
+                *b ^= t;
+            }
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
+/// Sweeps the index batches in `batches` against every fault, one index
+/// per lane (parallel-pattern single-fault propagation): each batch
+/// settles fault-free once, then every fault whose verdict is still
+/// open re-runs only its fan-out cone over that wave
+/// ([`FaultOverlay::eval_cone`]) and puts the wave back
+/// ([`FaultOverlay::restore`]). Returns each fault's witnesses within
+/// the range, in universe order.
+fn campaign_shard<W: SimWord>(
     program: &Arc<SimProgram>,
-    faults: &[FaultSpec],
+    overlays: &[FaultOverlay<W>],
     input: &str,
     output: &str,
-    expected: &[u64],
+    table: &WideExpectation<W>,
     valid: Option<&(dyn Fn(u64) -> bool + Sync)>,
-) -> Vec<FaultVerdict> {
-    let mut out = Vec::with_capacity(faults.len());
-    for chunk in faults.chunks(W::LANES) {
-        let overlay = FaultOverlay::<W>::batched(Arc::clone(program), chunk);
-        // A fresh value array per chunk: state forces (on constant
-        // slots, say) must not leak into the next chunk's lanes.
-        let mut sim = BatchSim::<W>::from_program(Arc::clone(program));
-        let mut first_diverge: Vec<Option<u64>> = vec![None; chunk.len()];
-        let mut first_silent: Vec<Option<u64>> = vec![None; chunk.len()];
-        // Lanes that might still change their verdict: all of them at
-        // first; a lane retires once its strongest classification is
-        // settled (divergence seen, and — when a validity predicate is
-        // in play — a valid divergence seen).
-        let mut unresolved = W::mask_lanes(chunk.len());
-        for (index, &want) in expected.iter().enumerate() {
-            sim.set_input_u64(input, index as u64);
-            overlay.eval(&mut sim);
-            let got_words = sim.read_output_words(output);
-            let mut diff = W::zero();
-            for (bit, &got) in got_words.iter().enumerate() {
-                diff = diff | (got ^ W::splat((want >> bit) & 1 == 1));
-            }
-            let mut pending = diff & unresolved;
-            while let Some(lane) = pending.first_lane() {
-                pending.set_lane(lane, false);
-                if first_diverge[lane].is_none() {
-                    first_diverge[lane] = Some(index as u64);
-                }
-                match valid {
-                    None => unresolved.set_lane(lane, false),
-                    Some(valid) => {
-                        let got = got_words
-                            .iter()
-                            .enumerate()
-                            .fold(0u64, |acc, (bit, &w)| acc | ((w.lane(lane) as u64) << bit));
-                        if valid(got) {
-                            first_silent[lane] = Some(index as u64);
-                            unresolved.set_lane(lane, false);
-                        }
-                    }
-                }
-            }
-            if !unresolved.any() {
-                break;
-            }
+    batches: Range<usize>,
+) -> Vec<Witnesses> {
+    let out_slots = program.output_slots(output);
+    let mut sim = BatchSim::<W>::from_program(Arc::clone(program));
+    let mut settled = Vec::new();
+    let mut found = vec![Witnesses::default(); overlays.len()];
+    // Faults whose verdict this range can still change.
+    let mut open: Vec<usize> = (0..overlays.len()).collect();
+    for batch in batches {
+        if open.is_empty() {
+            break;
         }
-        for (lane, &fault) in chunk.iter().enumerate() {
-            let outcome = match (first_diverge[lane], first_silent[lane]) {
-                (None, _) => FaultOutcome::Masked,
-                (Some(_), Some(witness)) => FaultOutcome::Silent { witness },
-                (Some(witness), None) => FaultOutcome::Detected { witness },
-            };
-            out.push(FaultVerdict { fault, outcome });
-        }
+        sim.set_input_words(input, table.inputs(batch));
+        sim.eval();
+        settled.clear();
+        settled.extend_from_slice(sim.tape().1);
+        open.retain(|&f| {
+            overlays[f].eval_cone(&mut sim);
+            let done = found[f].observe(sim.tape().1, out_slots, table, batch, valid);
+            overlays[f].restore(&mut sim, &settled);
+            !done
+        });
     }
-    out
+    found
 }
 
 /// Checks campaign preconditions and compiles the shared tape.
@@ -235,17 +295,19 @@ fn campaign_program(
 
 /// Runs the single-stuck-at campaign over `netlist`, sweeping every
 /// fault against `expected` (element `i` = golden output word at input
-/// index `i`) on `workers` contiguous shards of the fault universe.
-/// `valid` is the optional cheap validity predicate a runtime guard
-/// would apply (e.g. packed permutation validity); with `None`, every
-/// observable fault counts as detected.
+/// index `i`). `valid` is the optional cheap validity predicate a
+/// runtime guard would apply (e.g. packed permutation validity); with
+/// `None`, every observable fault counts as detected.
 ///
-/// Each worker retires [`SimWord::LANES`] faults per tape walk — 64 at
-/// `u64`, 256 at [`W256`](hwperm_logic::W256), 512 at
-/// [`W512`](hwperm_logic::W512). The report is byte-identical across
-/// widths and worker counts (verdicts and witnesses are per-lane, never
-/// influenced by batch companions), and equal to
-/// [`stuck_at_campaign_scalar`]'s.
+/// Each lane carries one index, so a [`SimWord::LANES`]-index batch —
+/// 64 at `u64`, 256 at [`W256`](hwperm_logic::W256), 512 at
+/// [`W512`](hwperm_logic::W512) — settles fault-free once, and each
+/// fault whose verdict is still open then re-simulates only its fan-out
+/// cone. The batches split over `workers` contiguous ascending shards
+/// of [`WideExpectation::batches`]; each fault's witnesses are its
+/// first sightings in shard order, which are the lowest indices. The
+/// report is byte-identical across widths and worker counts, and equal
+/// to [`stuck_at_campaign_scalar`]'s.
 ///
 /// # Panics
 /// Panics if `workers == 0`, the netlist has registers, either port is
@@ -260,11 +322,33 @@ pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
     workers: usize,
 ) -> CampaignReport {
     let program = campaign_program(netlist, input, output, expected);
+    let (in_bits, out_bits) = (
+        program.input_slots(input).len(),
+        program.output_slots(output).len(),
+    );
+    let table = WideExpectation::<W>::new(in_bits, out_bits, expected);
     let universe = single_stuck_at_universe(netlist);
-    let verdicts = fan_out(universe.len(), workers, |shard| {
-        campaign_range::<W>(&program, &universe[shard], input, output, expected, valid)
-    })
-    .concat();
+    let overlays: Vec<FaultOverlay<W>> = universe
+        .iter()
+        .map(|&fault| FaultOverlay::new(Arc::clone(&program), &[fault]))
+        .collect();
+    let shards = fan_out(table.batches(), workers, |batches| {
+        campaign_shard(&program, &overlays, input, output, &table, valid, batches)
+    });
+    let verdicts = universe
+        .iter()
+        .enumerate()
+        .map(|(f, &fault)| {
+            let first =
+                |pick: fn(&Witnesses) -> Option<u64>| shards.iter().find_map(|s| pick(&s[f]));
+            let outcome = match (first(|w| w.diverge), first(|w| w.silent)) {
+                (None, _) => FaultOutcome::Masked,
+                (Some(_), Some(witness)) => FaultOutcome::Silent { witness },
+                (Some(witness), None) => FaultOutcome::Detected { witness },
+            };
+            FaultVerdict { fault, outcome }
+        })
+        .collect();
     CampaignReport { verdicts }
 }
 
@@ -286,7 +370,7 @@ pub fn stuck_at_campaign_scalar(
     let verdicts = single_stuck_at_universe(netlist)
         .into_iter()
         .map(|fault| {
-            let overlay = FaultOverlay::new(Arc::clone(&program), &[fault]);
+            let overlay = FaultOverlay::<bool>::new(Arc::clone(&program), &[fault]);
             let mut sim = BatchSim::from_program(Arc::clone(&program));
             let mut first_diverge = None;
             let mut first_silent = None;
@@ -368,6 +452,25 @@ mod tests {
         let expected = expected_permutation_words(n);
         let valid = move |word: u64| packed_is_permutation_u64(n, word);
         stuck_at_campaign_wide::<u64>(&nl, "index", "perm", &expected, Some(&valid), workers)
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut rows = [0u64; 64];
+        let mut seed = 0x9E37_79B9_7F4A_7C15_u64;
+        for row in rows.iter_mut() {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            *row = seed;
+        }
+        let original = rows;
+        transpose64(&mut rows);
+        for (i, &row) in rows.iter().enumerate() {
+            for (j, &col) in original.iter().enumerate() {
+                assert_eq!((row >> j) & 1, (col >> i) & 1, "bit ({i}, {j})");
+            }
+        }
     }
 
     #[test]
@@ -473,6 +576,69 @@ mod tests {
                 assert_eq!(run.0, scalar, "u64, {label}");
                 assert_eq!(run.1, scalar, "W256, {label}");
                 assert_eq!(run.2, scalar, "W512, {label}");
+            }
+        }
+    }
+
+    #[test]
+    fn n7_w512_campaign_spans_ten_batches_at_every_worker_count() {
+        // 5,040 indices fill ten W512 batches, the last with 432 live
+        // lanes, so shards split a multi-batch sweep and the partial
+        // batch carries witnesses. The scalar reference is too slow at
+        // n = 7 for a debug test, so counts and witness sums are pinned.
+        use hwperm_logic::W512;
+        let n = 7;
+        let nl = converter_netlist(n, ConverterOptions::default());
+        let expected = expected_permutation_words(n);
+        let packed = move |word: u64| packed_is_permutation_u64(n, word);
+        // (predicate, detected, their witness sum, silent, their
+        // witness sum, largest witness)
+        let pinned = [
+            (
+                Some(&packed as &(dyn Fn(u64) -> bool + Sync)),
+                312,
+                76_291,
+                386,
+                277_585,
+                4_920,
+            ),
+            (None, 698, 303_366, 0, 0, 4_920),
+        ];
+        for (valid, detected, detected_sum, silent, silent_sum, largest) in pinned {
+            for workers in 1..=3 {
+                let report =
+                    stuck_at_campaign_wide::<W512>(&nl, "index", "perm", &expected, valid, workers);
+                let witnesses = |silent: bool| {
+                    report.verdicts.iter().filter_map(move |v| match v.outcome {
+                        FaultOutcome::Detected { witness } if !silent => Some(witness),
+                        FaultOutcome::Silent { witness } if silent => Some(witness),
+                        _ => None,
+                    })
+                };
+                let got = (
+                    report.total(),
+                    report.detected(),
+                    witnesses(false).sum::<u64>(),
+                    report.silent(),
+                    witnesses(true).sum::<u64>(),
+                    report.masked(),
+                    witnesses(false).chain(witnesses(true)).max(),
+                );
+                let want = (
+                    698,
+                    detected,
+                    detected_sum,
+                    silent,
+                    silent_sum,
+                    0,
+                    Some(largest),
+                );
+                assert_eq!(
+                    got,
+                    want,
+                    "predicate = {}, {workers} workers",
+                    valid.is_some()
+                );
             }
         }
     }

@@ -188,6 +188,21 @@ impl<W: SimWord> WideExpectation<W> {
     pub fn out_bits(&self) -> usize {
         self.out_bits
     }
+
+    /// The index words of `batch`, one per input bit.
+    pub(crate) fn inputs(&self, batch: usize) -> &[W] {
+        &self.in_words[batch * self.in_bits..][..self.in_bits]
+    }
+
+    /// The expected output words of `batch`, one per output bit.
+    pub(crate) fn wants(&self, batch: usize) -> &[W] {
+        &self.want_words[batch * self.out_bits..][..self.out_bits]
+    }
+
+    /// The lanes of `batch` that carry a real index.
+    pub(crate) fn live(&self, batch: usize) -> W {
+        self.live[batch]
+    }
 }
 
 /// Range core of the word-level sweep: checks the batches in `range`
@@ -218,13 +233,10 @@ pub(crate) fn check_batch_range<W: SimWord>(
         table.out_bits
     );
     for batch in range {
-        let live = table.live[batch];
-        sim.set_input_words(
-            input,
-            &table.in_words[batch * table.in_bits..][..table.in_bits],
-        );
+        let live = table.live(batch);
+        sim.set_input_words(input, table.inputs(batch));
         sim.eval();
-        let want = &table.want_words[batch * table.out_bits..][..table.out_bits];
+        let want = table.wants(batch);
         let mut diff = W::zero();
         for (net, &want_word) in out_nets.iter().zip(want) {
             diff = diff | ((sim.probe(*net) ^ want_word) & live);

@@ -46,11 +46,13 @@
 
 //!
 //! A third layer turns the sweeps inward: [`stuck_at_campaign_wide`]
-//! runs the single-stuck-at fault universe of a netlist through
-//! word-level fault overlays (`hwperm-faults`), classifying every fault
-//! as detected, silent, or masked against the golden table — the
+//! runs the single-stuck-at fault universe of a netlist over the same
+//! index batches and shards as the sweeps, classifying every fault as
+//! detected, silent, or masked against the golden table — the
 //! measurement side of the robustness story whose runtime side is
-//! `hwperm_core`'s guarded streams.
+//! `hwperm_core`'s guarded streams. Each batch settles fault-free once;
+//! each fault then re-simulates only its fan-out cone through a
+//! `hwperm-faults` overlay.
 //!
 //! Performance of these paths is tracked by the repository benchmark
 //! (`benchmark/README.md`): the n = 9 sweep as `verify_ms`, the n = 8

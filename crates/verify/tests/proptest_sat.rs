@@ -3,15 +3,16 @@
 //! matched by the scalar `BatchSim<bool>` sweep on the canonical tape,
 //! the 512-lane sweep on the fused tape, an empty-fault overlay, and
 //! the SAT proof — the Tseitin encoding, the CDCL solver and the model
-//! decoder checked against simulation. Random structure reaches the
-//! fusion rewrites and the overlay path that the registry families
-//! alone leave narrow.
+//! decoder checked against simulation — and the word-level stuck-at
+//! campaign must match its scalar reference. Random structure reaches
+//! the fusion rewrites, the overlay path and the fan-out cones that the
+//! registry families alone leave narrow.
 
 use hwperm_faults::FaultOverlay;
-use hwperm_logic::{BatchSim, Builder, NetId, Netlist, SimProgram, W512};
+use hwperm_logic::{BatchSim, Builder, NetId, Netlist, SimProgram, W256, W512};
 use hwperm_verify::{
     exhaustive_check_parallel_wide, exhaustive_check_scalar, golden_output_words,
-    prove_against_table, ProveOutcome,
+    prove_against_table, stuck_at_campaign_scalar, stuck_at_campaign_wide, ProveOutcome,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -64,7 +65,7 @@ fn random_netlist(w: usize, specs: &[GateSpec]) -> Netlist {
 /// an empty-fault overlay around a 64-lane simulator.
 fn fault_free_overlay_words(netlist: &Netlist, w: usize) -> Vec<u64> {
     let program = SimProgram::compile_shared(netlist.clone());
-    let overlay = FaultOverlay::<u64>::batched(Arc::clone(&program), &[]);
+    let overlay = FaultOverlay::<u64>::new(Arc::clone(&program), &[]);
     let mut sim = BatchSim::from_program(program);
     let inputs: Vec<u64> = (0..1u64 << w).collect();
     sim.set_input_lanes_u64("in", &inputs);
@@ -120,5 +121,53 @@ proptest! {
         prop_assert_eq!(cx.index, idx as u64);
         prop_assert_eq!(cx.got, table[idx] ^ (1u64 << bit), "witness must be the simulated word");
         prop_assert_eq!(cx.want, table[idx]);
+    }
+
+    #[test]
+    fn campaigns_match_the_scalar_reference_at_every_width_and_worker_count(
+        w in 2usize..=10,
+        specs in prop::collection::vec(gate_spec(), 1..40),
+        corrupt in any::<u64>(),
+    ) {
+        // Random structure brings stuck constants, outputs wired
+        // straight to inputs or constants (empty cones) and reconvergent
+        // fan-out. The corrupted table is one the fault-free netlist
+        // misses: a fault whose net already holds its stuck value still
+        // diverges there. Up to 10 input bits span several batches at
+        // every width.
+        let netlist = random_netlist(w, &specs);
+        let golden = golden_output_words(&netlist, "in", "out");
+        let mut missed = golden.clone();
+        let out_bits = netlist.output_port("out").unwrap().nets.len();
+        let idx = (corrupt % golden.len() as u64) as usize;
+        missed[idx] ^= 1u64 << ((corrupt >> 32) as usize % out_bits);
+        let even = |word: u64| word.count_ones().is_multiple_of(2);
+        for table in [&golden, &missed] {
+            for valid in [None, Some(&even as &(dyn Fn(u64) -> bool + Sync))] {
+                let scalar = stuck_at_campaign_scalar(&netlist, "in", "out", table, valid);
+                for workers in 1..=3 {
+                    let label = format!(
+                        "table corrupted: {}, predicate: {}, {workers} workers",
+                        table == &missed,
+                        valid.is_some()
+                    );
+                    prop_assert_eq!(
+                        &stuck_at_campaign_wide::<u64>(&netlist, "in", "out", table, valid, workers),
+                        &scalar,
+                        "u64, {}", label
+                    );
+                    prop_assert_eq!(
+                        &stuck_at_campaign_wide::<W256>(&netlist, "in", "out", table, valid, workers),
+                        &scalar,
+                        "W256, {}", label
+                    );
+                    prop_assert_eq!(
+                        &stuck_at_campaign_wide::<W512>(&netlist, "in", "out", table, valid, workers),
+                        &scalar,
+                        "W512, {}", label
+                    );
+                }
+            }
+        }
     }
 }
