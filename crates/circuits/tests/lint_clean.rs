@@ -2,17 +2,18 @@
 //!
 //! This is the integration contract between the generators and the static
 //! analyzer: a freshly built netlist of any family, at any supported size,
-//! produces zero Error-level diagnostics. Warnings are tolerated only where
-//! noted (e.g. a one-hot proof that exceeds its BDD node budget degrades to
-//! a warning rather than a false Error).
+//! produces zero Error-level diagnostics, and every recorded one-hot select
+//! bank is *proved* one-hot (a query that exhausted its SAT budget would
+//! only warn, so each family also asserts the one-hot pass stayed silent).
 
 use hwperm_circuits::{
-    converter_netlist, shuffle_netlist, ConverterOptions, IndexToCombinationConverter,
+    converter_netlist, families, shuffle_netlist, ConverterOptions, IndexToCombinationConverter,
     IndexToVariationConverter, PermToIndexConverter, RandomIndexGenerator, ShuffleOptions,
     SortingNetwork,
 };
 use hwperm_lint::{lint_netlist, LintId, LintReport, Severity};
 use hwperm_logic::Netlist;
+use hwperm_verify::{check_one_hot_bank, DEFAULT_SAT_CONFLICT_BUDGET};
 
 /// Lint `netlist` and fail the test with the full report if any diagnostic
 /// reaches Error severity.
@@ -27,12 +28,12 @@ fn assert_lint_clean(label: &str, netlist: &Netlist) -> LintReport {
 }
 
 /// Assert that every one-hot bank in the netlist was actually *proved*
-/// one-hot (no BudgetExceeded fallback warnings slipped through).
+/// one-hot (no skipped-query warnings slipped through).
 fn assert_one_hot_proved(label: &str, report: &LintReport) {
     let unproved: Vec<_> = report.of(LintId::OneHot).collect();
     assert!(
         unproved.is_empty(),
-        "{label}: one-hot pass left diagnostics (budget exceeded or worse):\n{}",
+        "{label}: one-hot pass left diagnostics (budget exhausted or worse):\n{}",
         unproved
             .iter()
             .map(|d| format!("  {d}\n"))
@@ -40,11 +41,11 @@ fn assert_one_hot_proved(label: &str, report: &LintReport) {
     );
 }
 
-/// BDD-independent cross-check of the one-hot verdict: exhaustively
+/// Solver-independent cross-check of the one-hot verdict: exhaustively
 /// simulate every input value on the batched 64-lane path and confirm
 /// no bank violation exists. Only applicable (and only run) for
 /// combinational netlists with a single input port narrow enough to
-/// sweep; wider or sequential families rely on the BDD proof alone.
+/// sweep; wider or sequential families rely on the SAT proof alone.
 fn assert_banks_one_hot_by_simulation(label: &str, netlist: &Netlist) {
     if netlist.register_count() > 0 || netlist.one_hot_banks().is_empty() {
         return;
@@ -59,7 +60,7 @@ fn assert_banks_one_hot_by_simulation(label: &str, netlist: &Netlist) {
     assert_eq!(
         hwperm_verify::find_one_hot_violation_parallel(netlist, &name, 1),
         None,
-        "{label}: exhaustive simulation refutes a bank the BDD pass proved"
+        "{label}: exhaustive simulation refutes a bank the SAT pass proved"
     );
 }
 
@@ -92,7 +93,9 @@ fn shuffle_family_is_lint_clean() {
                 ..ShuffleOptions::default()
             };
             let nl = shuffle_netlist(n, opts);
-            assert_lint_clean(&format!("shuffle n={n} pipelined={pipelined}"), &nl);
+            let label = format!("shuffle n={n} pipelined={pipelined}");
+            let report = assert_lint_clean(&label, &nl);
+            assert_one_hot_proved(&label, &report);
         }
     }
 }
@@ -111,8 +114,10 @@ fn rank_family_is_lint_clean() {
 fn combination_family_is_lint_clean() {
     for (n, k) in [(3usize, 1usize), (4, 2), (5, 2), (6, 3), (8, 4)] {
         let comb = IndexToCombinationConverter::new(n, k);
-        assert_lint_clean(&format!("combination n={n} k={k}"), comb.netlist());
-        assert_banks_one_hot_by_simulation(&format!("combination n={n} k={k}"), comb.netlist());
+        let label = format!("combination n={n} k={k}");
+        let report = assert_lint_clean(&label, comb.netlist());
+        assert_one_hot_proved(&label, &report);
+        assert_banks_one_hot_by_simulation(&label, comb.netlist());
     }
 }
 
@@ -120,14 +125,19 @@ fn combination_family_is_lint_clean() {
 fn variation_family_is_lint_clean() {
     for (n, k) in [(3usize, 2usize), (4, 2), (5, 3), (6, 3), (8, 4)] {
         let var = IndexToVariationConverter::new(n, k);
-        assert_lint_clean(&format!("variation n={n} k={k}"), var.netlist());
-        assert_banks_one_hot_by_simulation(&format!("variation n={n} k={k}"), var.netlist());
+        let label = format!("variation n={n} k={k}");
+        let report = assert_lint_clean(&label, var.netlist());
+        assert_one_hot_proved(&label, &report);
+        assert_banks_one_hot_by_simulation(&label, var.netlist());
     }
 }
 
+/// At n = 8 the sorter's priority banks depend on all 32 data input
+/// bits, too wide for the simulation cross-check; the SAT proof covers
+/// them alone.
 #[test]
 fn sorter_family_is_lint_clean() {
-    for (n, w) in [(2usize, 2usize), (3, 3), (4, 3), (6, 4)] {
+    for (n, w) in [(2usize, 2usize), (3, 3), (4, 3), (6, 4), (8, 4)] {
         let sorter = SortingNetwork::new(n, w);
         let report = assert_lint_clean(&format!("sort n={n} w={w}"), sorter.netlist());
         assert_one_hot_proved(&format!("sort n={n} w={w}"), &report);
@@ -135,32 +145,34 @@ fn sorter_family_is_lint_clean() {
     }
 }
 
-/// At n = 8 the sorter's priority banks depend on all 32 data input
-/// bits and their BDDs blow the default node budget. The contract is
-/// graceful degradation: the one-hot pass must downgrade to a
-/// Warn-level "unverified" diagnostic, never a false Error.
-#[test]
-fn sorter_over_budget_degrades_to_warning() {
-    let sorter = SortingNetwork::new(8, 4);
-    let report = assert_lint_clean("sort n=8 w=4", sorter.netlist());
-    for d in report.of(LintId::OneHot) {
-        assert_eq!(
-            d.severity,
-            Severity::Warn,
-            "over-budget one-hot check must warn, not error: {d}"
-        );
-        assert!(
-            d.message.contains("budget"),
-            "unexpected one-hot diagnostic at n=8: {d}"
-        );
-    }
-}
-
 #[test]
 fn random_index_family_is_lint_clean() {
     for n in [2usize, 3, 5, 8] {
         let gen = RandomIndexGenerator::new(n, 0x5eed);
-        assert_lint_clean(&format!("random-index n={n}"), gen.netlist());
+        let label = format!("random-index n={n}");
+        let report = assert_lint_clean(&label, gen.netlist());
+        assert_one_hot_proved(&label, &report);
+    }
+}
+
+/// Every select bank of every registered family at n = 2..=9 is proved
+/// one-hot by the SAT check itself.
+#[test]
+fn every_registered_family_bank_is_proved() {
+    for family in families() {
+        for n in 2..=9 {
+            let netlist = (family.build)(n);
+            for (b, bank) in netlist.one_hot_banks().iter().enumerate() {
+                let report =
+                    check_one_hot_bank(&netlist, bank, None, Some(DEFAULT_SAT_CONFLICT_BUDGET));
+                assert!(
+                    report.proved(),
+                    "{} n={n} bank {b}: {:?}",
+                    family.name,
+                    report.status
+                );
+            }
+        }
     }
 }
 

@@ -66,8 +66,8 @@ usage: hwperm <command> [args]
                                   combination | variation | sort |
                                   random-index | all; exit 2 if any
                                   Error-severity diagnostic fires;
-                                  one-hot proofs escalate from BDD to
-                                  SAT, and index-port families carry the
+                                  one-hot proofs are SAT queries, and
+                                  index-port families carry the
                                   range contract index < total for the
                                   range-dont-care pass; --json rows
                                   include the fused tape's op counts,

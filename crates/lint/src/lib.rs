@@ -18,7 +18,7 @@
 //! | `port-name`      | Error | duplicate, empty, or zero-width port names |
 //! | `floating-input` | Error | `Input` gates read by logic but driven by no input port |
 //! | `comb-cycle`     | Error | combinational cycles, found by Tarjan SCC over the combinational subgraph (sound on post-[`Netlist::with_gate_replaced`] graphs, where creation order no longer implies topological order) |
-//! | `one-hot`        | Error | recorded MUX select banks ([`Netlist::one_hot_banks`]) that are *not* exactly one-hot, proven or refuted by `hwperm-verify`'s bounded cone BDD query — with SAT escalation when the BDD budget is exhausted, and an explicit `skipped` finding when every budget runs out (never a silent pass) |
+//! | `one-hot`        | Error | recorded MUX select banks ([`Netlist::one_hot_banks`]) that are *not* exactly one-hot, proven or refuted by `hwperm-verify`'s SAT query over the bank's cone — with an explicit `skipped` finding when the conflict budget runs out (never a silent pass) |
 //! | `range-dont-care`| Error | banks the one-hot pass refuted (or skipped) re-queried under the configured input-range contract (`port < bound`, see [`LintConfig::with_range_bound`]): a violation reachable only by out-of-range inputs is range don't-care (Info); one reachable in range stays an error |
 //! | `unused-input`   | Warn  | input port bits that fan out nowhere |
 //! | `dead-gate`      | Warn  | gates whose value can never reach an output port |
@@ -34,10 +34,7 @@
 //! row of its shared `--json` envelope.
 
 use hwperm_logic::{Gate, NetId, Netlist, StructuralIssue};
-use hwperm_verify::{
-    check_one_hot_bank_escalated, check_one_hot_bank_sat, OneHotStatus, DEFAULT_NODE_BUDGET,
-    DEFAULT_SAT_CONFLICT_BUDGET,
-};
+use hwperm_verify::{check_one_hot_bank, OneHotStatus, DEFAULT_SAT_CONFLICT_BUDGET};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -195,12 +192,10 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Analysis budgets and the input-range contract of a lint run.
+/// The SAT budget and the input-range contract of a lint run.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// BDD node budget for each one-hot bank query.
-    pub node_budget: usize,
-    /// CDCL conflict budget for each SAT escalation or range query.
+    /// CDCL conflict budget for each one-hot or range query.
     pub sat_conflict_budget: u64,
     /// Input-range contract `(input port name, exclusive bound)` for
     /// the `range-dont-care` pass; `None` disables the pass. The CLI
@@ -211,7 +206,6 @@ pub struct LintConfig {
 impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
-            node_budget: DEFAULT_NODE_BUDGET,
             sat_conflict_budget: DEFAULT_SAT_CONFLICT_BUDGET,
             range_bound: None,
         }
@@ -219,13 +213,12 @@ impl Default for LintConfig {
 }
 
 impl LintConfig {
-    /// The default configuration: default budgets, no range contract.
+    /// The default configuration: default SAT budget, no range contract.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the CDCL conflict budget for SAT escalation and range
-    /// queries.
+    /// Sets the CDCL conflict budget for one-hot and range queries.
     pub fn with_sat_conflict_budget(mut self, conflicts: u64) -> Self {
         self.sat_conflict_budget = conflicts;
         self
@@ -488,24 +481,21 @@ impl<'a> Linter<'a> {
     }
 
     /// Proves every recorded one-hot select bank exactly one-hot via
-    /// `hwperm-verify`'s tiered query: structural, then bounded BDD,
-    /// then SAT escalation when the node budget is exhausted.
-    /// Refutations are errors; a check that exhausts *every* budget is
+    /// `hwperm-verify`'s SAT query over the bank's cone. Refutations
+    /// are errors; a query that exhausts the conflict budget is
     /// reported as an explicit `skipped` finding (capped at Warn — the
     /// property is unknown, not false), never passed silently.
     fn pass_one_hot(&mut self) {
         for (bank_idx, bank) in self.netlist.one_hot_banks().iter().enumerate() {
-            let result = check_one_hot_bank_escalated(
+            let result = check_one_hot_bank(
                 self.netlist,
                 bank,
-                self.config.node_budget,
-                self.config.sat_conflict_budget,
+                None,
+                Some(self.config.sat_conflict_budget),
             );
             let nets: Vec<usize> = bank.iter().take(NET_LIST_CAP).map(|n| n.index()).collect();
             match result.status {
-                OneHotStatus::ProvedStructural
-                | OneHotStatus::ProvedBdd
-                | OneHotStatus::ProvedSat => {}
+                OneHotStatus::ProvedSat => {}
                 OneHotStatus::Refuted { assignment } => {
                     let witness: Vec<String> = assignment
                         .iter()
@@ -524,36 +514,13 @@ impl<'a> Linter<'a> {
                     );
                     self.unproved_banks.push((bank_idx, bank.clone()));
                 }
-                // The escalated checker never returns a bare
-                // `BudgetExceeded`, but the match stays total: fold it
-                // into the skipped report.
-                OneHotStatus::BudgetExceeded { nodes } => {
-                    let (bdd_nodes, sat_conflicts) = (nodes, self.config.sat_conflict_budget);
+                OneHotStatus::Skipped { sat_conflicts } => {
                     self.emit_capped(
                         LintId::OneHot,
                         Severity::Warn,
                         format!(
                             "select bank {bank_idx} ({} lines) skipped: unverified after \
-                             BDD budget ({bdd_nodes} nodes) and SAT budget ({sat_conflicts} \
-                             conflicts) were exhausted",
-                            bank.len()
-                        ),
-                        nets,
-                        vec![],
-                    );
-                    self.unproved_banks.push((bank_idx, bank.clone()));
-                }
-                OneHotStatus::Skipped {
-                    bdd_nodes,
-                    sat_conflicts,
-                } => {
-                    self.emit_capped(
-                        LintId::OneHot,
-                        Severity::Warn,
-                        format!(
-                            "select bank {bank_idx} ({} lines) skipped: unverified after \
-                             BDD budget ({bdd_nodes} nodes) and SAT budget ({sat_conflicts} \
-                             conflicts) were exhausted",
+                             the SAT budget ({sat_conflicts} conflicts) was exhausted",
                             bank.len()
                         ),
                         nets,
@@ -599,7 +566,7 @@ impl<'a> Linter<'a> {
         };
         let port_nets = port.nets.clone();
         for (bank_idx, bank) in banks {
-            let result = check_one_hot_bank_sat(
+            let result = check_one_hot_bank(
                 self.netlist,
                 &bank,
                 Some((&port_nets, bound)),
@@ -607,9 +574,7 @@ impl<'a> Linter<'a> {
             );
             let nets: Vec<usize> = bank.iter().take(NET_LIST_CAP).map(|n| n.index()).collect();
             match result.status {
-                OneHotStatus::ProvedStructural
-                | OneHotStatus::ProvedBdd
-                | OneHotStatus::ProvedSat => {
+                OneHotStatus::ProvedSat => {
                     self.emit_capped(
                         LintId::RangeDontCare,
                         Severity::Info,
@@ -638,20 +603,7 @@ impl<'a> Linter<'a> {
                         vec![port_name.clone()],
                     );
                 }
-                OneHotStatus::Skipped { sat_conflicts, .. } => {
-                    self.emit_capped(
-                        LintId::RangeDontCare,
-                        Severity::Warn,
-                        format!(
-                            "select bank {bank_idx} skipped: range query exhausted the SAT \
-                             budget ({sat_conflicts} conflicts)",
-                        ),
-                        nets,
-                        vec![port_name.clone()],
-                    );
-                }
-                OneHotStatus::BudgetExceeded { .. } => {
-                    let sat_conflicts = self.config.sat_conflict_budget;
+                OneHotStatus::Skipped { sat_conflicts } => {
                     self.emit_capped(
                         LintId::RangeDontCare,
                         Severity::Warn,
@@ -998,9 +950,10 @@ mod tests {
     }
 
     /// A decoder bank over adder sum bits with `record_one_hot_bank`:
-    /// genuinely one-hot, but too wide for a 4-node BDD budget.
-    /// `broken_lines` > 0 drops that many trailing lines, making the
-    /// bank refutable (the dropped codes hit zero lines).
+    /// genuinely one-hot, over a cone that a zero-conflict SAT budget
+    /// cannot decide. `broken_lines` > 0 drops that many trailing
+    /// lines, making the bank refutable (the dropped codes hit zero
+    /// lines).
     fn adder_decoder_bank(broken_lines: usize) -> Netlist {
         let mut b = Builder::new();
         let x = b.input_bus("x", 8);
@@ -1015,46 +968,33 @@ mod tests {
     }
 
     #[test]
-    fn sat_escalation_closes_bdd_budget_gap() {
-        // Before the SAT tier this config produced an "unverified"
-        // warning; now the escalated proof leaves a clean report.
-        let nl = adder_decoder_bank(0);
-        let config = LintConfig::new();
-        let starved = LintConfig {
-            node_budget: 4,
-            ..config
-        };
-        let report = lint_netlist_with(&nl, &starved);
+    fn wide_cone_bank_is_proved_clean() {
+        let report = lint_netlist(&adder_decoder_bank(0));
         assert!(report.diagnostics.is_empty(), "{report}");
     }
 
     #[test]
-    fn exhausted_budgets_emit_explicit_skipped_finding() {
-        // Satellite pin: with every budget starved the pass must say
-        // "skipped" out loud (capped at Warn), never pass silently.
+    fn exhausted_sat_budget_emits_explicit_skipped_finding() {
+        // With the conflict budget starved the pass must say "skipped"
+        // out loud (capped at Warn), never pass silently.
         let nl = adder_decoder_bank(0);
-        let starved = LintConfig {
-            node_budget: 4,
-            ..LintConfig::new()
-        }
-        .with_sat_conflict_budget(0);
+        let starved = LintConfig::new().with_sat_conflict_budget(0);
         let report = lint_netlist_with(&nl, &starved);
         let findings: Vec<_> = report.of(LintId::OneHot).collect();
         assert_eq!(findings.len(), 1, "{report}");
         assert_eq!(findings[0].severity, Severity::Warn);
-        assert!(findings[0].message.contains("skipped"), "{report}");
+        assert_eq!(
+            findings[0].message,
+            "select bank 0 (8 lines) skipped: unverified after the SAT budget \
+             (0 conflicts) was exhausted",
+        );
     }
 
     #[test]
-    fn mutated_bank_is_refuted_by_escalation_not_skipped() {
-        // The SAT tier must produce a real refutation when the BDD
-        // budget is starved — a skip here would hide the mutation.
-        let nl = adder_decoder_bank(1);
-        let starved = LintConfig {
-            node_budget: 4,
-            ..LintConfig::new()
-        };
-        let report = lint_netlist_with(&nl, &starved);
+    fn mutated_wide_cone_bank_is_refuted_not_skipped() {
+        // The default budget must produce a real refutation — a skip
+        // here would hide the mutation.
+        let report = lint_netlist(&adder_decoder_bank(1));
         let findings: Vec<_> = report.of(LintId::OneHot).collect();
         assert_eq!(findings.len(), 1, "{report}");
         assert_eq!(findings[0].severity, Severity::Error);

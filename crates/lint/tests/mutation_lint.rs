@@ -12,7 +12,8 @@
 use hwperm_bignum::Ubig;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_lint::{lint_netlist, LintId, Severity};
-use hwperm_logic::{Gate, NetId, Netlist};
+use hwperm_logic::{BatchSim, Gate, NetId, Netlist};
+use hwperm_verify::{check_one_hot_bank, OneHotStatus, DEFAULT_SAT_CONFLICT_BUDGET};
 
 /// The Fig. 1 converter at n = 4: combinational, lint-clean, with
 /// recorded one-hot select banks — the canonical mutation substrate.
@@ -107,9 +108,9 @@ fn orphaned_input_gate_fires_floating_input() {
 
 #[test]
 fn stuck_select_fires_one_hot() {
-    // The ISSUE's flagship mutation: force one line of a Fig. 1 select
-    // bank high so two lines can be simultaneously hot. The BDD query
-    // must refute one-hotness with a concrete witness.
+    // The flagship mutation: force one line of a Fig. 1 select bank
+    // high so two lines can be simultaneously hot. The SAT query must
+    // refute one-hotness with a concrete witness.
     let nl = clean_converter();
     let banks = nl.one_hot_banks().to_vec();
     assert!(!banks.is_empty(), "converter records its select banks");
@@ -313,17 +314,30 @@ fn banks_truly_one_hot(netlist: &Netlist) -> bool {
     hwperm_verify::find_one_hot_violation_parallel(netlist, "index", 1).is_none()
 }
 
+/// Stuck-at mutants of the n = 4 converter: two per combinational gate.
+const MUTANTS: usize = 94;
+
+/// Every single-gate stuck-at mutant of `netlist`: each combinational
+/// gate replaced by `Const(false)`, then by `Const(true)`, as
+/// `(net, stuck value, mutant)`.
+fn stuck_at_mutants(netlist: &Netlist) -> impl Iterator<Item = (usize, bool, Netlist)> + '_ {
+    (0..netlist.len())
+        .filter(|&i| netlist.gates()[i].is_combinational())
+        .flat_map(|i| [false, true].map(|stuck| (i, stuck)))
+        .map(|(i, stuck)| (i, stuck, netlist.with_gate_replaced(i, Gate::Const(stuck))))
+}
+
 #[test]
 fn mutation_sweep_one_hot_verdicts_match_simulation() {
-    // Exhaustive single-gate stuck-at-1 sweep over the n = 4 converter.
-    // The linter must survive every mutant without panicking, and its
-    // one-hot verdict must agree with ground-truth simulation: an Error
-    // iff some input really drives a bank to zero or two hot lines.
-    // (Agreement matters in both directions — a stuck line in a 2-line
-    // complementary bank keeps the bank exactly-one-hot even though the
-    // circuit is functionally wrong, and the lint must NOT claim a
-    // one-hot violation there; the functional fault is the exhaustive
-    // oracle's to catch, not the bank assertion's.)
+    // Exhaustive single-gate stuck-at-0 and stuck-at-1 sweep over the
+    // n = 4 converter. The linter must survive every mutant without
+    // panicking, and its one-hot verdict must agree with ground-truth
+    // simulation: an Error iff some input really drives a bank to zero
+    // or two hot lines. (Agreement matters in both directions — a stuck
+    // line in a 2-line complementary bank keeps the bank exactly-one-hot
+    // even though the circuit is functionally wrong, and the lint must
+    // NOT claim a one-hot violation there; the functional fault is the
+    // exhaustive oracle's to catch, not the bank assertion's.)
     let nl = clean_converter();
     let bank_nets: std::collections::HashSet<usize> = nl
         .one_hot_banks()
@@ -331,12 +345,8 @@ fn mutation_sweep_one_hot_verdicts_match_simulation() {
         .flatten()
         .map(|n| n.index())
         .collect();
-    let mut refuted = 0;
-    for i in 0..nl.len() {
-        if !nl.gates()[i].is_combinational() {
-            continue;
-        }
-        let bogus = nl.with_gate_replaced(i, Gate::Const(true));
+    let (mut mutants, mut refuted) = (0, [0usize; 2]);
+    for (i, stuck, bogus) in stuck_at_mutants(&nl) {
         let report = lint_netlist(&bogus); // must not panic
         let lint_says_broken = report
             .of(LintId::OneHot)
@@ -345,16 +355,70 @@ fn mutation_sweep_one_hot_verdicts_match_simulation() {
         assert_eq!(
             lint_says_broken,
             truly_broken,
-            "one-hot verdict diverges from simulation for stuck net {i} \
+            "one-hot verdict diverges from simulation for net {i} stuck at {} \
              (bank member: {}):\n{report}",
+            u8::from(stuck),
             bank_nets.contains(&i)
         );
-        refuted += usize::from(truly_broken);
+        mutants += 1;
+        refuted[usize::from(stuck)] += usize::from(truly_broken);
     }
+    assert_eq!(mutants, MUTANTS);
     assert!(
-        refuted >= 5,
-        "expected several genuine one-hot violations in the sweep, got {refuted}"
+        refuted.iter().all(|&r| r >= 5),
+        "expected several genuine one-hot violations per stuck value, got {refuted:?}"
     );
+}
+
+#[test]
+fn one_hot_witnesses_replay_to_real_violations() {
+    // Every refutation the one-hot check returns on a stuck-at mutant
+    // must be a real counterexample: its witness, driven into `index`
+    // and settled on the scalar simulator, leaves the refuted bank with
+    // zero or at least two hot lines. The converter has no registers,
+    // so a witness only names index bits; bits it leaves out are
+    // outside the bank's cone and stay 0.
+    let nl = clean_converter();
+    let index: Vec<usize> = nl
+        .input_port("index")
+        .expect("converter has an index port")
+        .nets
+        .iter()
+        .map(|n| n.index())
+        .collect();
+    let (mut mutants, mut refuted) = (0, 0);
+    for (i, stuck, bogus) in stuck_at_mutants(&nl) {
+        mutants += 1;
+        let mut sim = BatchSim::<bool>::new(bogus.clone());
+        for (b, bank) in bogus.one_hot_banks().iter().enumerate() {
+            let report = check_one_hot_bank(&bogus, bank, None, Some(DEFAULT_SAT_CONFLICT_BUDGET));
+            let OneHotStatus::Refuted { assignment } = report.status else {
+                assert!(
+                    report.proved(),
+                    "net {i} stuck at {stuck}, bank {b}: {report:?}"
+                );
+                continue;
+            };
+            let mut value = 0u64;
+            for (net, v) in assignment {
+                let bit = index
+                    .iter()
+                    .position(|&x| x == net)
+                    .unwrap_or_else(|| panic!("witness names non-index net {net}"));
+                value |= u64::from(v) << bit;
+            }
+            sim.set_input_u64("index", value);
+            sim.eval();
+            let hot = bank.iter().filter(|&&line| sim.probe(line)).count();
+            assert_ne!(
+                hot, 1,
+                "net {i} stuck at {stuck}, bank {b}: witness index {value} leaves the bank one-hot"
+            );
+            refuted += 1;
+        }
+    }
+    assert_eq!(mutants, MUTANTS);
+    assert_eq!(refuted, 25, "refuted banks across the stuck-at mutants");
 }
 
 /// Sanity: the oracle used by the sweep — mutating a gate genuinely

@@ -319,8 +319,8 @@ pub(crate) fn one_hot_sweep_total(netlist: &Netlist, input: &str) -> u64 {
 /// The per-lane exactly-one predicate is computed word-parallel: for a
 /// bank with line words `w`, the chain `one = (one & !w) | (none & w);
 /// none &= !w` leaves bit `l` of `one` set iff lane `l` saw exactly one
-/// hot line — the 64-wide analogue of the BDD chain in
-/// [`crate::check_one_hot_bank`].
+/// hot line — the simulation counterpart of the exactly-one predicate
+/// that [`crate::check_one_hot_bank`] proves by SAT.
 pub(crate) fn scan_one_hot_range(
     sim: &mut BatchSim<u64>,
     banks: &[Vec<hwperm_logic::NetId>],

@@ -74,10 +74,7 @@ pub use miter::{
     prove_against_table, prove_equivalent, prove_inverse_identity, prove_pipelined_equivalent,
     ProofStats, ProveOutcome,
 };
-pub use onehot::{
-    check_one_hot_bank, check_one_hot_bank_escalated, check_one_hot_bank_sat, OneHotReport,
-    OneHotStatus, DEFAULT_NODE_BUDGET, DEFAULT_SAT_CONFLICT_BUDGET,
-};
+pub use onehot::{check_one_hot_bank, OneHotReport, OneHotStatus, DEFAULT_SAT_CONFLICT_BUDGET};
 pub use oracle::{
     expected_combination_words, expected_permutation_words, expected_permutation_words_parallel,
     expected_variation_words,

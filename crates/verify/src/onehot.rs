@@ -3,65 +3,37 @@
 //! The converter's correctness hinges on every MUX select bank being
 //! exactly one-hot (Fig. 1 of the paper: each selection stage routes
 //! one remaining element through a one-hot MUX). This module proves
-//! that property for a recorded bank without compiling the whole
-//! netlist: only the *cone* feeding the bank is compiled, cut at
-//! register boundaries (DFF outputs become free variables — sound for
-//! proofs, since holding over all register states implies holding over
-//! the reachable ones).
+//! that property for a recorded bank without encoding the whole
+//! netlist: only the *cone* feeding the bank is Tseitin-encoded
+//! ([`hwperm_sat::Cnf`]), cut at register boundaries (DFF outputs
+//! become free variables — sound for proofs, since holding over all
+//! register states implies holding over the reachable ones). A CDCL
+//! search then looks for an assignment that drives zero or at least
+//! two bank lines: UNSAT is a proof ([`OneHotStatus::ProvedSat`]), a
+//! model is a refuting witness ([`OneHotStatus::Refuted`]).
 //!
-//! Three tiers:
+//! The search respects a conflict budget; exhausting it yields an
+//! explicit [`OneHotStatus::Skipped`] rather than an unbounded search —
+//! callers can always distinguish *proved* from *gave up*.
 //!
-//! 1. **Structural**: the bank matches the thermometer decomposition
-//!    the generator emits (`bank[0] = ¬t₀`, `bank[d] = t_{d-1} ∧ ¬t_d`,
-//!    `bank[r-1] = t_{r-2}`), which is exactly one-hot iff the
-//!    thermometer is monotone (`t_d ⇒ t_{d-1}`). Each implication is a
-//!    small per-pair BDD query instead of one query over the full bank.
-//! 2. **Full BDD**: build the exactly-one predicate over the bank's
-//!    cone and test it for tautology.
-//! 3. **SAT escalation**: when the BDD blows its node budget, the cone
-//!    is Tseitin-encoded ([`hwperm_sat::Cnf`]) and a CDCL search looks
-//!    for an exactly-one violation — UNSAT is a proof
-//!    ([`OneHotStatus::ProvedSat`]). SAT cost tracks circuit structure,
-//!    not BDD width, so wide-support cones (the sorting network's
-//!    priority banks) that diverge as BDDs still close as proofs.
-//!
-//! Every tier respects a budget; exhausting all of them yields an
-//! explicit [`OneHotStatus::Skipped`] rather than an unbounded
-//! compile — callers can always distinguish *proved* from *gave up*.
-//!
-//! [`check_one_hot_bank_sat`] additionally accepts an input-range
+//! [`check_one_hot_bank`] additionally accepts an input-range
 //! constraint (`port < bound`), which proves *range don't-care safety*:
 //! a bank refutable only by out-of-range inputs (e.g. converter indices
 //! `≥ n!`) is safe in any system that respects the range contract.
 
-use hwperm_bdd::{Manager, NodeId};
 use hwperm_logic::{Gate, NetId, Netlist};
 use hwperm_sat::{lit_value, Cnf, Lit, SatResult};
 
-/// Default cap on live BDD nodes for a one-hot query. Comparator and
-/// adder cones are linear-sized in LSB-first variable order; the
-/// largest real cones (the sorting network's priority banks, whose
-/// support spans every data input) peak near 2^21 nodes, so this
-/// leaves headroom while still bounding adversarial inputs.
-pub const DEFAULT_NODE_BUDGET: usize = 1 << 22;
-
-/// Default cap on CDCL conflicts for one SAT escalation query. The
-/// real generator banks close in well under a thousand conflicts; a
-/// million bounds adversarial cones to fractions of a second while
-/// leaving three orders of magnitude of headroom.
+/// Default cap on CDCL conflicts for one one-hot query. The real
+/// generator banks close in well under a thousand conflicts; a million
+/// bounds adversarial cones to fractions of a second while leaving
+/// three orders of magnitude of headroom.
 pub const DEFAULT_SAT_CONFLICT_BUDGET: u64 = 1 << 20;
 
 /// Outcome of [`check_one_hot_bank`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OneHotStatus {
-    /// Proven one-hot via the thermometer decomposition plus per-pair
-    /// monotonicity queries.
-    ProvedStructural,
-    /// Proven one-hot by a full exactly-one BDD query over the cone.
-    ProvedBdd,
-    /// Proven one-hot by an UNSAT result over the Tseitin-encoded cone
-    /// (the SAT escalation tier, or a direct [`check_one_hot_bank_sat`]
-    /// query).
+    /// Proven one-hot by an UNSAT result over the Tseitin-encoded cone.
     ProvedSat,
     /// Not one-hot: some assignment of the cone's free nets drives a
     /// number of bank lines different from one.
@@ -70,18 +42,9 @@ pub enum OneHotStatus {
         /// the cone's free nets (unlisted nets may take any value).
         assignment: Vec<(usize, bool)>,
     },
-    /// The BDD grew past the node budget before a verdict was reached
-    /// (no SAT escalation was attempted).
-    BudgetExceeded {
-        /// Live node count when the query was abandoned.
-        nodes: usize,
-    },
-    /// Every attempted tier exhausted its budget: the property is
+    /// The SAT search exhausted its conflict budget: the property is
     /// unknown and the check was explicitly skipped.
     Skipped {
-        /// Live BDD node count when that tier was abandoned (`0` if the
-        /// BDD tier was never attempted, e.g. a direct SAT query).
-        bdd_nodes: usize,
         /// The conflict budget the SAT search exhausted.
         sat_conflicts: u64,
     },
@@ -102,12 +65,9 @@ pub struct OneHotReport {
 }
 
 impl OneHotReport {
-    /// `true` iff the bank was proven one-hot (either tier).
+    /// `true` iff the bank was proven one-hot.
     pub fn proved(&self) -> bool {
-        matches!(
-            self.status,
-            OneHotStatus::ProvedStructural | OneHotStatus::ProvedBdd | OneHotStatus::ProvedSat
-        )
+        self.status == OneHotStatus::ProvedSat
     }
 }
 
@@ -116,9 +76,8 @@ impl OneHotReport {
 struct Cone {
     /// All cone nets, ascending (a valid topological order).
     nets: Vec<usize>,
-    /// The cut: `Input`/`Dff` nets, ascending. Their position in this
-    /// list is their BDD variable level, so LSB-first creation order
-    /// becomes LSB-first variable order (linear comparator BDDs).
+    /// The cut: `Input`/`Dff` nets, ascending. Each becomes one free
+    /// SAT variable, in this order.
     free: Vec<usize>,
 }
 
@@ -166,193 +125,6 @@ fn collect_cone(netlist: &Netlist, roots: &[NetId]) -> Result<Cone, String> {
     Ok(Cone { nets, free })
 }
 
-/// Compiles the cone bottom-up; `Err(nodes)` if the budget is blown.
-fn compile_cone(
-    netlist: &Netlist,
-    cone: &Cone,
-    manager: &mut Manager,
-    budget: usize,
-) -> Result<Vec<NodeId>, usize> {
-    let gates = netlist.gates();
-    let mut node_of = vec![NodeId::FALSE; gates.len()];
-    for (level, &i) in cone.free.iter().enumerate() {
-        node_of[i] = manager.var(level);
-    }
-    for &i in &cone.nets {
-        node_of[i] = match gates[i] {
-            Gate::Input | Gate::Dff { .. } => node_of[i],
-            Gate::Const(v) => {
-                if v {
-                    NodeId::TRUE
-                } else {
-                    NodeId::FALSE
-                }
-            }
-            Gate::Not(a) => manager.not(node_of[a.index()]),
-            Gate::And(a, b) => manager.and(node_of[a.index()], node_of[b.index()]),
-            Gate::Or(a, b) => manager.or(node_of[a.index()], node_of[b.index()]),
-            Gate::Xor(a, b) => manager.xor(node_of[a.index()], node_of[b.index()]),
-            Gate::Mux { sel, a, b } => {
-                manager.ite(node_of[sel.index()], node_of[b.index()], node_of[a.index()])
-            }
-        };
-        if manager.total_nodes() > budget {
-            return Err(manager.total_nodes());
-        }
-    }
-    Ok(node_of)
-}
-
-/// One satisfying assignment of a non-`FALSE` BDD, reported per
-/// variable level on the path (off-path variables are free).
-fn satisfying_assignment(manager: &Manager, root: NodeId) -> Vec<(usize, bool)> {
-    debug_assert_ne!(root, NodeId::FALSE);
-    let mut path = Vec::new();
-    let mut cur = root;
-    while cur != NodeId::TRUE && cur != NodeId::FALSE {
-        let (level, lo, hi) = manager.node_triple(cur);
-        // In a reduced BDD every non-FALSE node is satisfiable, so any
-        // non-FALSE child leads to TRUE.
-        if hi != NodeId::FALSE {
-            path.push((level as usize, true));
-            cur = hi;
-        } else {
-            path.push((level as usize, false));
-            cur = lo;
-        }
-    }
-    path
-}
-
-/// Matches the generator's thermometer decomposition of `bank` and
-/// returns the thermometer lines `t_0 .. t_{r-2}` if it fits:
-/// `bank[0] = ¬t₀`, `bank[d] = t_{d-1} ∧ ¬t_d`, `bank[r-1] = t_{r-2}`.
-fn thermometer_decomposition(netlist: &Netlist, bank: &[NetId]) -> Option<Vec<NetId>> {
-    let gates = netlist.gates();
-    let gate = |n: NetId| gates.get(n.index()).copied();
-    let r = bank.len();
-    if r < 2 {
-        return None;
-    }
-    let Some(Gate::Not(t0)) = gate(bank[0]) else {
-        return None;
-    };
-    let mut thermo = vec![t0];
-    for d in 1..r - 1 {
-        let Some(Gate::And(x, y)) = gate(bank[d]) else {
-            return None;
-        };
-        let prev = thermo[d - 1];
-        // One operand is t_{d-1}; the other inverts the next line.
-        let inverted = if x == prev {
-            y
-        } else if y == prev {
-            x
-        } else {
-            return None;
-        };
-        let Some(Gate::Not(t_d)) = gate(inverted) else {
-            return None;
-        };
-        thermo.push(t_d);
-    }
-    (bank[r - 1] == thermo[r - 2]).then_some(thermo)
-}
-
-/// Attempts to prove that `bank` is exactly one-hot for every
-/// assignment of its cone's free nets (primary inputs and register
-/// outputs), spending at most `node_budget` BDD nodes.
-///
-/// Structural tier first (thermometer pattern + per-pair monotonicity
-/// queries), full exactly-one query otherwise. See the module docs.
-pub fn check_one_hot_bank(netlist: &Netlist, bank: &[NetId], node_budget: usize) -> OneHotReport {
-    let cone = match collect_cone(netlist, bank) {
-        Ok(c) => c,
-        Err(e) => {
-            return OneHotReport {
-                status: OneHotStatus::ConeInvalid(e),
-                cone_inputs: 0,
-                cone_gates: 0,
-            }
-        }
-    };
-    let cone_inputs = cone.free.len();
-    let cone_gates = cone
-        .nets
-        .iter()
-        .filter(|&&i| netlist.gates()[i].is_combinational())
-        .count();
-    let report = |status| OneHotReport {
-        status,
-        cone_inputs,
-        cone_gates,
-    };
-
-    // Tier 1: thermometer decomposition. Exactly-one reduces to the
-    // monotonicity chain t_d ⇒ t_{d-1}, each a pair-cone query.
-    if let Some(thermo) = thermometer_decomposition(netlist, bank) {
-        let mut structural = true;
-        for d in 1..thermo.len() {
-            let pair = [thermo[d - 1], thermo[d]];
-            let Ok(pair_cone) = collect_cone(netlist, &pair) else {
-                structural = false;
-                break;
-            };
-            let mut manager = Manager::new(pair_cone.free.len());
-            match compile_cone(netlist, &pair_cone, &mut manager, node_budget) {
-                Err(_) => {
-                    structural = false; // fall through to the full query
-                    break;
-                }
-                Ok(node_of) => {
-                    let prev = node_of[pair[0].index()];
-                    let cur = node_of[pair[1].index()];
-                    let not_prev = manager.not(prev);
-                    if manager.and(cur, not_prev) != NodeId::FALSE {
-                        structural = false; // not monotone; let the full
-                        break; // query produce the witness
-                    }
-                }
-            }
-        }
-        if structural {
-            return report(OneHotStatus::ProvedStructural);
-        }
-    }
-
-    // Tier 2: full exactly-one query over the bank cone.
-    let mut manager = Manager::new(cone_inputs);
-    let node_of = match compile_cone(netlist, &cone, &mut manager, node_budget) {
-        Ok(n) => n,
-        Err(nodes) => return report(OneHotStatus::BudgetExceeded { nodes }),
-    };
-    // Chain: `none` = no line hot so far, `one` = exactly one hot.
-    let mut none = NodeId::TRUE;
-    let mut one = NodeId::FALSE;
-    for net in bank {
-        let line = node_of[net.index()];
-        let not_line = manager.not(line);
-        let still_one = manager.and(one, not_line);
-        let became_one = manager.and(none, line);
-        one = manager.or(still_one, became_one);
-        none = manager.and(none, not_line);
-        if manager.total_nodes() > node_budget {
-            return report(OneHotStatus::BudgetExceeded {
-                nodes: manager.total_nodes(),
-            });
-        }
-    }
-    if one == NodeId::TRUE {
-        return report(OneHotStatus::ProvedBdd);
-    }
-    let violation = manager.not(one);
-    let assignment = satisfying_assignment(&manager, violation)
-        .into_iter()
-        .map(|(level, value)| (cone.free[level], value))
-        .collect();
-    report(OneHotStatus::Refuted { assignment })
-}
-
 /// Tseitin-encodes the cone into `cnf`, returning a literal per net
 /// (free nets become fresh variables, constants fold into the pinned
 /// constant, `Not` is a free polarity flip).
@@ -395,9 +167,10 @@ fn exactly_one_violation(cnf: &mut Cnf, lines: &[Lit]) -> Lit {
     cnf.or(none_hot, two_hot)
 }
 
-/// Attempts to decide one-hotness of `bank` by SAT search over the
-/// Tseitin-encoded cone, spending at most `max_conflicts` CDCL
-/// conflicts (`None` = unbounded).
+/// Decides whether `bank` is exactly one-hot for every assignment of
+/// its cone's free nets (primary inputs and register outputs) by SAT
+/// search over the Tseitin-encoded cone, spending at most
+/// `max_conflicts` CDCL conflicts (`None` = unbounded).
 ///
 /// `range` optionally constrains the query to in-range inputs: given
 /// `(port_nets, bound)`, only assignments where the little-endian word
@@ -412,9 +185,8 @@ fn exactly_one_violation(cnf: &mut Cnf, lines: &[Lit]) -> Lit {
 ///
 /// Verdicts: [`OneHotStatus::ProvedSat`], [`OneHotStatus::Refuted`]
 /// (witness over the cone's free nets plus any off-cone range bits), or
-/// [`OneHotStatus::Skipped`] with `bdd_nodes: 0` when the conflict
-/// budget runs out.
-pub fn check_one_hot_bank_sat(
+/// [`OneHotStatus::Skipped`] when the conflict budget runs out.
+pub fn check_one_hot_bank(
     netlist: &Netlist,
     bank: &[NetId],
     range: Option<(&[NetId], u64)>,
@@ -482,39 +254,8 @@ pub fn check_one_hot_bank_sat(
             report(OneHotStatus::Refuted { assignment })
         }
         (SatResult::Unknown, _) => report(OneHotStatus::Skipped {
-            bdd_nodes: 0,
             sat_conflicts: max_conflicts.unwrap_or(u64::MAX),
         }),
-    }
-}
-
-/// [`check_one_hot_bank`] with SAT escalation: runs the structural and
-/// BDD tiers first, and when (only when) the BDD node budget is
-/// exhausted, re-attacks the cone with a bounded CDCL search. The
-/// result is never a bare [`OneHotStatus::BudgetExceeded`]: either some
-/// tier reached a verdict, or every budget ran out and the status is an
-/// explicit [`OneHotStatus::Skipped`] carrying both exhausted budgets.
-pub fn check_one_hot_bank_escalated(
-    netlist: &Netlist,
-    bank: &[NetId],
-    node_budget: usize,
-    sat_conflict_budget: u64,
-) -> OneHotReport {
-    let bdd = check_one_hot_bank(netlist, bank, node_budget);
-    let OneHotStatus::BudgetExceeded { nodes } = bdd.status else {
-        return bdd;
-    };
-    let sat = check_one_hot_bank_sat(netlist, bank, None, Some(sat_conflict_budget));
-    match sat.status {
-        OneHotStatus::Skipped { .. } => OneHotReport {
-            status: OneHotStatus::Skipped {
-                bdd_nodes: nodes,
-                sat_conflicts: sat_conflict_budget,
-            },
-            cone_inputs: sat.cone_inputs,
-            cone_gates: sat.cone_gates,
-        },
-        _ => sat,
     }
 }
 
@@ -524,7 +265,7 @@ mod tests {
     use hwperm_logic::Builder;
 
     fn report(netlist: &Netlist, bank: &[NetId]) -> OneHotReport {
-        check_one_hot_bank(netlist, bank, DEFAULT_NODE_BUDGET)
+        check_one_hot_bank(netlist, bank, None, Some(DEFAULT_SAT_CONFLICT_BUDGET))
     }
 
     #[test]
@@ -561,9 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn thermometer_bank_proved_structurally() {
-        // ge_const thermometer over a 4-bit index, as the converter
-        // builds it: monotone, so structural tier must fire.
+    fn thermometer_bank_proved() {
+        // ge_const thermometer over a 4-bit index, decoded as the
+        // converter builds its select banks: monotone, so one-hot.
         let mut b = Builder::new();
         let index = b.input_bus("index", 4);
         let thermo: Vec<_> = (1..4u64)
@@ -578,7 +319,7 @@ mod tests {
         b.output_bus("hot", &bank);
         let nl = b.finish();
         let bank = nl.output_port("hot").unwrap().nets.clone();
-        assert_eq!(report(&nl, &bank).status, OneHotStatus::ProvedStructural);
+        assert_eq!(report(&nl, &bank).status, OneHotStatus::ProvedSat);
     }
 
     #[test]
@@ -613,25 +354,8 @@ mod tests {
         assert_eq!(r.cone_inputs, 2); // the two DFFs, not the inputs
     }
 
-    #[test]
-    fn budget_exhaustion_reported() {
-        // XOR ladder with a tiny budget.
-        let mut b = Builder::new();
-        let x = b.input_bus("x", 8);
-        let y = b.input_bus("y", 8);
-        let (s, _) = b.add(&x, &y);
-        let lines = b.decoder(&s[..3], 8);
-        b.output_bus("hot", &lines);
-        let nl = b.finish();
-        let lines = nl.output_port("hot").unwrap().nets.clone();
-        assert!(matches!(
-            check_one_hot_bank(&nl, &lines, 4).status,
-            OneHotStatus::BudgetExceeded { .. }
-        ));
-    }
-
-    /// An 8-line decoder fed through an adder: always one-hot, but the
-    /// cone is wide enough that a 4-node BDD budget is hopeless.
+    /// An 8-line decoder fed through an adder: always one-hot, over a
+    /// cone that needs a real search rather than unit propagation.
     fn adder_decoder() -> (Netlist, Vec<NetId>) {
         let mut b = Builder::new();
         let x = b.input_bus("x", 8);
@@ -645,9 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn sat_escalation_proves_past_bdd_budget() {
+    fn adder_decoder_bank_proved() {
         let (nl, lines) = adder_decoder();
-        let r = check_one_hot_bank_escalated(&nl, &lines, 4, DEFAULT_SAT_CONFLICT_BUDGET);
+        let r = report(&nl, &lines);
         assert_eq!(r.status, OneHotStatus::ProvedSat);
         assert!(r.proved());
         // The low three sum bits see x[0..3] and y[0..3].
@@ -655,10 +379,10 @@ mod tests {
     }
 
     #[test]
-    fn sat_escalation_refutes_broken_bank_past_bdd_budget() {
+    fn broken_adder_decoder_bank_refuted() {
         // Drop the last decoder line: sum ≡ 7 (mod 8) hits zero lines.
         let (nl, lines) = adder_decoder();
-        let r = check_one_hot_bank_escalated(&nl, &lines[..7], 4, DEFAULT_SAT_CONFLICT_BUDGET);
+        let r = report(&nl, &lines[..7]);
         assert!(
             matches!(r.status, OneHotStatus::Refuted { .. }),
             "{:?}",
@@ -667,39 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn escalation_with_all_budgets_exhausted_is_explicitly_skipped() {
+    fn exhausted_conflict_budget_is_explicitly_skipped() {
         let (nl, lines) = adder_decoder();
-        let r = check_one_hot_bank_escalated(&nl, &lines, 4, 0);
-        match r.status {
-            OneHotStatus::Skipped {
-                bdd_nodes,
-                sat_conflicts,
-            } => {
-                assert!(bdd_nodes > 4);
-                assert_eq!(sat_conflicts, 0);
-            }
-            other => panic!("expected Skipped, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sat_direct_query_matches_bdd_verdicts() {
-        let mut b = Builder::new();
-        let sel = b.input_bus("sel", 2);
-        let lines = b.decoder(&sel, 4);
-        b.output_bus("hot", &lines);
-        let nl = b.finish();
-        let lines = nl.output_port("hot").unwrap().nets.clone();
-        let r = check_one_hot_bank_sat(&nl, &lines, None, None);
-        assert_eq!(r.status, OneHotStatus::ProvedSat);
-        // Truncated: the SAT witness must agree with the BDD one.
-        let r = check_one_hot_bank_sat(&nl, &lines[..3], None, None);
-        match r.status {
-            OneHotStatus::Refuted { assignment } => {
-                assert!(assignment.iter().all(|&(_, v)| v));
-            }
-            other => panic!("expected refutation, got {other:?}"),
-        }
+        let r = check_one_hot_bank(&nl, &lines, None, Some(0));
+        assert_eq!(r.status, OneHotStatus::Skipped { sat_conflicts: 0 });
+        assert!(!r.proved());
     }
 
     #[test]
@@ -714,9 +410,9 @@ mod tests {
         let nl = b.finish();
         let lines = nl.output_port("hot").unwrap().nets.clone();
         let port = nl.input_port("sel").unwrap().nets.clone();
-        let safe = check_one_hot_bank_sat(&nl, &lines, Some((&port, 3)), None);
+        let safe = check_one_hot_bank(&nl, &lines, Some((&port, 3)), None);
         assert_eq!(safe.status, OneHotStatus::ProvedSat);
-        let wide = check_one_hot_bank_sat(&nl, &lines, Some((&port, 4)), None);
+        let wide = check_one_hot_bank(&nl, &lines, Some((&port, 4)), None);
         match wide.status {
             OneHotStatus::Refuted { assignment } => {
                 // The only in-range witness is sel == 3.
@@ -744,7 +440,7 @@ mod tests {
         let nl = b.finish();
         let bank = nl.output_port("hot").unwrap().nets.clone();
         let port = nl.input_port("sel").unwrap().nets.clone();
-        let r = check_one_hot_bank_sat(&nl, &bank, Some((&port, 2)), None);
+        let r = check_one_hot_bank(&nl, &bank, Some((&port, 2)), None);
         match r.status {
             OneHotStatus::Refuted { assignment } => {
                 let value_of = |net: NetId| {
@@ -760,7 +456,7 @@ mod tests {
         }
         // sel < 1 forces s0 = 0, which excludes the only violation:
         // range don't-care safety through an off-cone port bit.
-        let r = check_one_hot_bank_sat(&nl, &bank, Some((&port, 1)), None);
+        let r = check_one_hot_bank(&nl, &bank, Some((&port, 1)), None);
         assert_eq!(r.status, OneHotStatus::ProvedSat);
     }
 

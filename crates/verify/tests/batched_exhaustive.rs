@@ -53,7 +53,6 @@ fn converter_n4_to_n6_pass_the_batched_sweep() {
 }
 
 #[test]
-#[ignore = "n = 7 sweeps 5040 indices through a ~300-gate netlist; run with --ignored"]
 fn converter_n7_passes_the_batched_sweep() {
     let expected = expected_permutation_words(7);
     assert_every_sweep(&converter(7), &expected, &Ok(()), "n = 7");
