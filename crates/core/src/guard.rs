@@ -6,8 +6,8 @@
 //! [`GuardedPermSource`] wrapper closes that gap at runtime:
 //!
 //! - **cheap validity check** on every draw: the packed word must be a
-//!   permutation ([`packed_is_permutation_u64`] — field range, high-bit
-//!   zero, popcount of the seen-element bitboard);
+//!   permutation ([`packed_is_permutation_u64`] — high bits zero, and
+//!   the fields' seen-element bitboard exactly `0..n`);
 //! - **rank-back spot check** at a configurable sampling rate: the word
 //!   is unpacked, ranked, and re-unranked through the software
 //!   [`Unranker`]; any disagreement flags the draw (this also catches

@@ -48,6 +48,7 @@ pub use permutation::{PermError, Permutation};
 /// assert_eq!(bits_per_element(4), 2);  // the paper's 8-bit word for n = 4
 /// assert_eq!(bits_per_element(9), 4);  // 36-bit word for n = 9
 /// ```
+#[inline]
 pub fn bits_per_element(n: usize) -> usize {
     if n <= 2 {
         1

@@ -116,14 +116,19 @@ pub fn packed_is_derangement(n: usize, word: u64) -> bool {
 }
 
 /// Permutation-validity test directly on a packed `u64` word, without
-/// unpacking: every `⌈log₂n⌉`-bit field must name an element below `n`,
-/// the bits above the `n·⌈log₂n⌉`-bit payload must be zero, and the
-/// popcount of the seen-element bitboard must equal `n` (an element
-/// seen twice folds onto one bit, so duplicates shrink the popcount).
-/// This is the cheap output checker behind `GuardedPermSource`.
+/// unpacking: the bits above the `n·⌈log₂n⌉`-bit payload must be zero,
+/// and the `n` fields, each setting bit `field` of a seen-element
+/// bitboard (`seen |= 1 << field`), must set exactly bits `0..n`
+/// (`seen == 2ⁿ − 1`). A field naming an element ≥ `n` sets a bit
+/// outside that mask, and a repeated element leaves a mask bit clear,
+/// so one compare covers both. The body has no data-dependent branch,
+/// so a caller with a constant `n` inlines it to straight-line shifts
+/// and ORs. This is the cheap output checker behind `GuardedPermSource`
+/// and the stuck-at campaigns.
 ///
 /// # Panics
 /// Panics if the packed word exceeds 64 bits (`n > 16`).
+#[inline]
 pub fn packed_is_permutation_u64(n: usize, word: u64) -> bool {
     let b = bits_per_element(n);
     let width = n * b;
@@ -131,24 +136,13 @@ pub fn packed_is_permutation_u64(n: usize, word: u64) -> bool {
         width <= 64,
         "packed width {width} exceeds the u64 fast path (n = {n})"
     );
-    if width < 64 && word >> width != 0 {
-        return false;
-    }
-    if n == 0 {
-        return true;
-    }
     let field = (1u64 << b) - 1;
     let mut seen = 0u64;
-    let mut w = word;
-    for _ in 0..n {
-        let e = w & field;
-        if e >= n as u64 {
-            return false;
-        }
-        seen |= 1u64 << e;
-        w >>= b;
+    for i in 0..n {
+        seen |= 1u64 << ((word >> (i * b)) & field);
     }
-    seen.count_ones() as usize == n
+    let high = word.checked_shr(width as u32).unwrap_or(0);
+    (high == 0) & (seen == (1u64 << n) - 1)
 }
 
 #[cfg(test)]
@@ -224,17 +218,78 @@ mod tests {
         }
     }
 
+    /// The predicate's specification: nothing above the payload, and
+    /// the fields unpack to a permutation.
+    fn reference_is_permutation(n: usize, word: u64) -> bool {
+        let width = Permutation::packed_width(n);
+        (width == 64 || word >> width == 0) && Permutation::unpack(n, &Ubig::from(word)).is_ok()
+    }
+
+    fn assert_matches_reference(n: usize, word: u64) {
+        assert_eq!(
+            packed_is_permutation_u64(n, word),
+            reference_is_permutation(n, word),
+            "n = {n}, word = {word:#x}"
+        );
+    }
+
     #[test]
     fn packed_permutation_check_matches_unpack_exhaustively() {
-        // Every 8-bit word either unpacks to a valid n = 4 permutation
-        // or fails the packed predicate — the two must agree bit for
-        // bit over the whole word space.
-        for word in 0..256u64 {
-            assert_eq!(
-                packed_is_permutation_u64(4, word),
-                Permutation::unpack(4, &Ubig::from(word)).is_ok(),
-                "word = {word:#010b}"
-            );
+        // For n ≤ 6, every payload word, alone and with each single bit
+        // above the payload set, gets the reference's verdict: a field
+        // ≥ n, a repeated field and a stray high bit each reject.
+        for n in 0..=6usize {
+            let width = Permutation::packed_width(n);
+            for payload in 0..1u64 << width {
+                assert_matches_reference(n, payload);
+                for bit in width..64 {
+                    assert_matches_reference(n, payload | 1 << bit);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_permutation_check_matches_unpack_up_to_the_full_width() {
+        // n = 7..=16: seeded random words, whole and cut to the payload;
+        // every packed permutation (n ≤ 8) or seeded random ones, each
+        // with every single-bit flip. At n = 16 the payload is all 64
+        // bits, so no high-bit check applies.
+        let mut seed = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for n in 7..=16usize {
+            let payload = u64::MAX >> (64 - Permutation::packed_width(n));
+            for _ in 0..4096 {
+                let word = next();
+                assert_matches_reference(n, word);
+                assert_matches_reference(n, word & payload);
+            }
+            let perms: Vec<Permutation> = if n <= 8 {
+                Permutation::all(n).collect()
+            } else {
+                (0..256)
+                    .map(|_| {
+                        let mut v: Vec<u32> = (0..n as u32).collect();
+                        for i in (1..n).rev() {
+                            v.swap(i, (next() % (i as u64 + 1)) as usize);
+                        }
+                        Permutation::try_from_vec(v).unwrap()
+                    })
+                    .chain([Permutation::identity(n), Permutation::last_lex(n)])
+                    .collect()
+            };
+            for p in perms {
+                let word = p.pack_u64();
+                assert!(packed_is_permutation_u64(n, word), "p = {p}");
+                for bit in 0..64 {
+                    assert_matches_reference(n, word ^ 1 << bit);
+                }
+            }
         }
     }
 

@@ -28,6 +28,16 @@
 //! cone, and restores them. A fault retires from the sweep once its
 //! verdict is final.
 //!
+//! Each faulty circuit is simulated once. Structural fault collapsing
+//! (Abramovici, Breuer and Friedman, *Digital Systems Testing and
+//! Testable Design*, ch. 4) joins a stuck input of a `Not`, `And` or
+//! `Or` whose only reader is that gate with the stuck output it forces;
+//! one overlay runs per class, and the class verdict is copied to every
+//! member. In a batch whose fault-free wave meets the table, a class
+//! whose net already holds its stuck value on every live lane cannot
+//! diverge, so it skips the cone (the excitation gate); in a batch the
+//! wave misses, every open class runs.
+//!
 //! Witnesses are deterministic: each fault reports the lowest diverging
 //! index (and, for silent faults, the lowest *validly* diverging
 //! index). Sharding uses the exhaustive sweeps' split:
@@ -44,7 +54,7 @@
 use crate::exhaustive::{port_width_checked, WideExpectation};
 use hwperm_factoradic::fan_out;
 use hwperm_faults::{FaultOverlay, FaultSpec};
-use hwperm_logic::{BatchSim, NetId, Netlist, SimProgram, SimWord, LANES};
+use hwperm_logic::{BatchSim, Gate, NetId, Netlist, SimProgram, SimWord, LANES};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -156,6 +166,74 @@ pub fn single_stuck_at_universe(netlist: &Netlist) -> Vec<FaultSpec> {
         .collect()
 }
 
+/// Structural equivalence classes of [`single_stuck_at_universe`]
+/// (fault `2·net + value`), by fault collapsing (Abramovici, Breuer and
+/// Friedman, *Digital Systems Testing and Testable Design*, ch. 4). A
+/// net whose only reader is one gate input (`Netlist::fanout() == 1`,
+/// which counts output-port bits, so a port bit never collapses) makes
+/// the same faulty circuit as the gate's output `o` stuck at the value
+/// it then forces:
+///
+/// - `Not(a)`: a/0 ≡ o/1 and a/1 ≡ o/0;
+/// - `And(a, b)`, a ≠ b: x/0 ≡ o/0 for either input x;
+/// - `Or(a, b)`, a ≠ b: x/1 ≡ o/1 for either input x.
+///
+/// `Xor` and `Mux` have no rule: no stuck input fixes their output.
+/// Returns each fault's class root. Every edge joins an input fault to
+/// its reader's output fault and each net has one reader, so a class is
+/// a tree whose root is its most downstream fault, the one with the
+/// smallest fan-out cone.
+fn collapsed_stuck_at_classes(netlist: &Netlist) -> Vec<usize> {
+    fn root(parent: &mut [usize], mut fault: usize) -> usize {
+        while parent[fault] != fault {
+            parent[fault] = parent[parent[fault]];
+            fault = parent[fault];
+        }
+        fault
+    }
+    let fanout = netlist.fanout();
+    let mut parent: Vec<usize> = (0..2 * netlist.len()).collect();
+    for (o, gate) in netlist.gates().iter().enumerate() {
+        // (input, its stuck value, the output's stuck value)
+        let rules = match *gate {
+            Gate::Not(a) => [(a, false, true), (a, true, false)],
+            Gate::And(a, b) if a != b => [(a, false, false), (b, false, false)],
+            Gate::Or(a, b) if a != b => [(a, true, true), (b, true, true)],
+            _ => continue,
+        };
+        for (x, x_value, o_value) in rules {
+            if fanout[x.index()] == 1 {
+                let from = root(&mut parent, 2 * x.index() + usize::from(x_value));
+                let to = root(&mut parent, 2 * o + usize::from(o_value));
+                parent[from] = to;
+            }
+        }
+    }
+    (0..parent.len()).map(|f| root(&mut parent, f)).collect()
+}
+
+/// One structurally distinct faulty circuit of a campaign: the overlay
+/// of its class representative, plus the slot that overlay forces and
+/// the stuck value splat across every lane, which tell whether a batch
+/// excites the fault at all.
+struct FaultClass<W: SimWord> {
+    overlay: FaultOverlay<W>,
+    slot: usize,
+    stuck: W,
+}
+
+impl<W: SimWord> FaultClass<W> {
+    /// The class represented by fault `2·net + value` of the universe.
+    fn new(program: &Arc<SimProgram>, fault: usize) -> Self {
+        let (net, value) = (NetId::forged((fault / 2) as u32), fault % 2 == 1);
+        FaultClass {
+            overlay: FaultOverlay::new(Arc::clone(program), &[FaultSpec::StuckAt { net, value }]),
+            slot: program.slot(net),
+            stuck: W::splat(value),
+        }
+    }
+}
+
 /// What one shard saw of one fault: its lowest diverging index and its
 /// lowest validly diverging index.
 #[derive(Debug, Clone, Copy, Default)]
@@ -237,16 +315,20 @@ fn transpose64(rows: &mut [u64; 64]) {
     }
 }
 
-/// Sweeps the index batches in `batches` against every fault, one index
-/// per lane (parallel-pattern single-fault propagation): each batch
-/// settles fault-free once, then every fault whose verdict is still
-/// open re-runs only its fan-out cone over that wave
+/// Sweeps the index batches in `batches` against every fault class, one
+/// index per lane (parallel-pattern single-fault propagation): each
+/// batch settles fault-free once, then every class whose verdict is
+/// still open re-runs only its fan-out cone over that wave
 /// ([`FaultOverlay::eval_cone`]) and puts the wave back
-/// ([`FaultOverlay::restore`]). Returns each fault's witnesses within
-/// the range, in universe order.
+/// ([`FaultOverlay::restore`]). Where the fault-free wave meets the
+/// table on every live lane, a class whose net already holds its stuck
+/// value on every live lane leaves the wave as it is, so it cannot
+/// diverge and skips the batch. Where the wave misses the table, every
+/// open class runs: an unexcited fault still diverges there. Returns
+/// each class's witnesses within the range, in class order.
 fn campaign_shard<W: SimWord>(
     program: &Arc<SimProgram>,
-    overlays: &[FaultOverlay<W>],
+    classes: &[FaultClass<W>],
     input: &str,
     output: &str,
     table: &WideExpectation<W>,
@@ -256,9 +338,9 @@ fn campaign_shard<W: SimWord>(
     let out_slots = program.output_slots(output);
     let mut sim = BatchSim::<W>::from_program(Arc::clone(program));
     let mut settled = Vec::new();
-    let mut found = vec![Witnesses::default(); overlays.len()];
-    // Faults whose verdict this range can still change.
-    let mut open: Vec<usize> = (0..overlays.len()).collect();
+    let mut found = vec![Witnesses::default(); classes.len()];
+    // Classes whose verdict this range can still change.
+    let mut open: Vec<usize> = (0..classes.len()).collect();
     for batch in batches {
         if open.is_empty() {
             break;
@@ -267,10 +349,19 @@ fn campaign_shard<W: SimWord>(
         sim.eval();
         settled.clear();
         settled.extend_from_slice(sim.tape().1);
-        open.retain(|&f| {
-            overlays[f].eval_cone(&mut sim);
-            let done = found[f].observe(sim.tape().1, out_slots, table, batch, valid);
-            overlays[f].restore(&mut sim, &settled);
+        let live = table.live(batch);
+        let meets = out_slots
+            .iter()
+            .zip(table.wants(batch))
+            .all(|(&slot, &want)| !((settled[slot as usize] ^ want) & live).any());
+        open.retain(|&c| {
+            let class = &classes[c];
+            if meets && !((settled[class.slot] ^ class.stuck) & live).any() {
+                return true;
+            }
+            class.overlay.eval_cone(&mut sim);
+            let done = found[c].observe(sim.tape().1, out_slots, table, batch, valid);
+            class.overlay.restore(&mut sim, &settled);
             !done
         });
     }
@@ -299,15 +390,21 @@ fn campaign_program(
 /// runtime guard would apply (e.g. packed permutation validity); with
 /// `None`, every observable fault counts as detected.
 ///
-/// Each lane carries one index, so a [`SimWord::LANES`]-index batch —
-/// 64 at `u64`, 256 at [`W256`](hwperm_logic::W256), 512 at
-/// [`W512`](hwperm_logic::W512) — settles fault-free once, and each
-/// fault whose verdict is still open then re-simulates only its fan-out
-/// cone. The batches split over `workers` contiguous ascending shards
-/// of [`WideExpectation::batches`]; each fault's witnesses are its
-/// first sightings in shard order, which are the lowest indices. The
-/// report is byte-identical across widths and worker counts, and equal
-/// to [`stuck_at_campaign_scalar`]'s.
+/// Faults that make the same faulty circuit are simulated once: the
+/// universe collapses into structural equivalence classes (a stuck
+/// input of a `Not`, `And` or `Or` whose only reader is that gate
+/// equals a stuck output), one overlay runs per class, and each class's
+/// verdict is copied back to every member. Each lane carries one index,
+/// so a [`SimWord::LANES`]-index batch — 64 at `u64`, 256 at
+/// [`W256`](hwperm_logic::W256), 512 at [`W512`](hwperm_logic::W512) —
+/// settles fault-free once, and each class whose verdict is still open
+/// then re-simulates only its fan-out cone, unless the batch meets the
+/// table and never excites the class's fault. The batches split over
+/// `workers` contiguous ascending shards of
+/// [`WideExpectation::batches`]; each fault's witnesses are its first
+/// sightings in shard order, which are the lowest indices. The report
+/// is byte-identical across widths and worker counts, and equal to
+/// [`stuck_at_campaign_scalar`]'s.
 ///
 /// # Panics
 /// Panics if `workers == 0`, the netlist has registers, either port is
@@ -328,19 +425,19 @@ pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
     );
     let table = WideExpectation::<W>::new(in_bits, out_bits, expected);
     let universe = single_stuck_at_universe(netlist);
-    let overlays: Vec<FaultOverlay<W>> = universe
-        .iter()
-        .map(|&fault| FaultOverlay::new(Arc::clone(&program), &[fault]))
-        .collect();
+    let roots = collapsed_stuck_at_classes(netlist);
+    let reps: Vec<usize> = (0..universe.len()).filter(|&f| roots[f] == f).collect();
+    let classes: Vec<FaultClass<W>> = reps.iter().map(|&f| FaultClass::new(&program, f)).collect();
     let shards = fan_out(table.batches(), workers, |batches| {
-        campaign_shard(&program, &overlays, input, output, &table, valid, batches)
+        campaign_shard(&program, &classes, input, output, &table, valid, batches)
     });
     let verdicts = universe
         .iter()
-        .enumerate()
-        .map(|(f, &fault)| {
+        .zip(&roots)
+        .map(|(&fault, root)| {
+            let c = reps.binary_search(root).expect("every root is a class");
             let first =
-                |pick: fn(&Witnesses) -> Option<u64>| shards.iter().find_map(|s| pick(&s[f]));
+                |pick: fn(&Witnesses) -> Option<u64>| shards.iter().find_map(|s| pick(&s[c]));
             let outcome = match (first(|w| w.diverge), first(|w| w.silent)) {
                 (None, _) => FaultOutcome::Masked,
                 (Some(_), Some(witness)) => FaultOutcome::Silent { witness },
@@ -679,6 +776,138 @@ mod tests {
             "expected silent faults on the converter"
         );
         assert!(report.guard_coverage_percent() < 100.0);
+    }
+
+    /// Sums the witnesses of the detected (`silent == false`) or the
+    /// silent faults of `report`.
+    fn witness_sum(report: &CampaignReport, silent: bool) -> u64 {
+        report
+            .verdicts
+            .iter()
+            .filter_map(|v| match v.outcome {
+                FaultOutcome::Detected { witness } if !silent => Some(witness),
+                FaultOutcome::Silent { witness } if silent => Some(witness),
+                _ => None,
+            })
+            .sum()
+    }
+
+    #[test]
+    fn collapsing_joins_only_single_reader_not_and_or_inputs() {
+        // Nets 0..6 are the input bits x0..x5; fault 2·net + value.
+        let mut b = Builder::new_unoptimized();
+        let x = b.input_bus("x", 6);
+        let a = b.not(x[0]); // 6: x0 has one reader
+        let n = b.not(a); // 7: a Not chain
+        let c = b.and(n, x[1]); // 8: single readers, x1 an input-port bit
+        let d = b.or(x[2], x[3]); // 9: single readers
+        let e = b.xor(c, d); // 10: no rule
+        let f = b.mux(x[4], e, x[5]); // 11: no rule; x4 is read twice
+        let g = b.and(f, x[4]); // 12: f is also an output-port bit
+        b.output_bus("y", &[f, g]);
+        let nl = b.finish();
+        let roots = collapsed_stuck_at_classes(&nl);
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for root in (0..roots.len()).filter(|&f| roots[f] == f) {
+            classes.push((0..roots.len()).filter(|&f| roots[f] == root).collect());
+        }
+        // x0/0 ≡ a/1 ≡ n/0 ≡ c/0 ≡ x1/0; x0/1 ≡ a/0 ≡ n/1;
+        // x2/1 ≡ x3/1 ≡ d/1; the other 15 faults stand alone.
+        let joined: Vec<&Vec<usize>> = classes.iter().filter(|c| c.len() > 1).collect();
+        assert_eq!(
+            joined,
+            [&vec![1, 12, 15], &vec![0, 2, 13, 14, 16], &vec![5, 7, 19]]
+        );
+        assert_eq!((roots.len(), classes.len()), (26, 18));
+        // Each class's root is its most downstream fault.
+        assert_eq!((roots[0], roots[1], roots[5]), (16, 15, 19));
+        // The uncollapsed reference gives every member its root's
+        // verdict, on the golden table and on one the netlist misses.
+        let golden = golden_output_words(&nl, "x", "y");
+        let mut missed = golden.clone();
+        missed[37] ^= 0b10;
+        for table in [&golden, &missed] {
+            let scalar = stuck_at_campaign_scalar(&nl, "x", "y", table, None);
+            for (f, &root) in roots.iter().enumerate() {
+                assert_eq!(
+                    scalar.verdicts[f].outcome, scalar.verdicts[root].outcome,
+                    "fault {f}"
+                );
+            }
+            for workers in [1, 2] {
+                let wide = stuck_at_campaign_wide::<u64>(&nl, "x", "y", table, None, workers);
+                assert_eq!(wide, scalar, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn n8_converter_collapses_to_789_classes() {
+        let nl = converter_netlist(8, ConverterOptions::default());
+        let roots = collapsed_stuck_at_classes(&nl);
+        let classes = (0..roots.len()).filter(|&f| roots[f] == f).count();
+        assert_eq!((roots.len(), classes), (1_120, 789));
+    }
+
+    #[test]
+    fn n8_converter_campaign_matches_the_benchmark_pins() {
+        // The benchmark's campaign (n = 8, W512, 2 workers, packed
+        // validity) and the predicate-free one at 1 worker: counts and
+        // witness sums over 79 batches.
+        use hwperm_logic::W512;
+        let n = 8;
+        let nl = converter_netlist(n, ConverterOptions::default());
+        let expected = expected_permutation_words(n);
+        let packed = move |word: u64| packed_is_permutation_u64(n, word);
+        let pinned = [
+            (
+                Some(&packed as &(dyn Fn(u64) -> bool + Sync)),
+                2,
+                (433, 702_846, 687, 3_589_517),
+            ),
+            (None, 1, (1_120, 3_799_681, 0, 0)),
+        ];
+        for (valid, workers, want) in pinned {
+            let report =
+                stuck_at_campaign_wide::<W512>(&nl, "index", "perm", &expected, valid, workers);
+            assert_eq!((report.total(), report.masked()), (1_120, 0));
+            let got = (
+                report.detected(),
+                witness_sum(&report, false),
+                report.silent(),
+                witness_sum(&report, true),
+            );
+            assert_eq!(got, want, "predicate = {}", valid.is_some());
+        }
+    }
+
+    #[test]
+    fn unexcited_faults_still_diverge_where_the_table_is_wrong() {
+        // y = low nibble + high nibble of an 8-bit x, over indices
+        // 0..128, with the table corrupted at index 69 (batch 1 of 64
+        // lanes). x7 is 0 at every index, so x7/0 never changes the
+        // wave: batch 0 meets the table and may skip it, but batch 1
+        // misses the table at 69, and there the fault must run and
+        // report the divergence the fault-free circuit already shows.
+        let mut b = Builder::new();
+        let x = b.input_bus("x", 8);
+        let y = b.add_expand(&x[..4], &x[4..]);
+        b.output_bus("y", &y);
+        let nl = b.finish();
+        let mut table = golden_output_words(&nl, "x", "y");
+        table.truncate(128);
+        table[69] ^= 1;
+        let x7_sa0 = FaultSpec::StuckAt {
+            net: nl.input_port("x").unwrap().nets[7],
+            value: false,
+        };
+        let scalar = stuck_at_campaign_scalar(&nl, "x", "y", &table, None);
+        for workers in [1, 2] {
+            let report = stuck_at_campaign_wide::<u64>(&nl, "x", "y", &table, None, workers);
+            let verdict = report.verdicts.iter().find(|v| v.fault == x7_sa0).unwrap();
+            assert_eq!(verdict.outcome, FaultOutcome::Detected { witness: 69 });
+            assert_eq!(report, scalar, "{workers} workers");
+        }
     }
 
     #[test]

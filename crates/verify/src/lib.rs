@@ -51,8 +51,9 @@
 //! detected, silent, or masked against the golden table — the
 //! measurement side of the robustness story whose runtime side is
 //! `hwperm_core`'s guarded streams. Each batch settles fault-free once;
-//! each fault then re-simulates only its fan-out cone through a
-//! `hwperm-faults` overlay.
+//! each structurally distinct faulty circuit (the universe collapses
+//! into equivalence classes) then re-simulates only its fan-out cone
+//! through a `hwperm-faults` overlay, in batches that can excite it.
 //!
 //! Performance of these paths is tracked by the repository benchmark
 //! (`benchmark/README.md`): the n = 9 sweep as `verify_ms`, the n = 8
