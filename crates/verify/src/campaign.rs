@@ -26,7 +26,7 @@
 //! once, and then each fault whose verdict is still open forces its net
 //! through a `FaultOverlay`, re-runs only the tape ops in its fan-out
 //! cone, and restores them. A fault retires from the sweep once its
-//! verdict is final.
+//! verdict is final, in its own shard and in every later one.
 //!
 //! Each faulty circuit is simulated once. Structural fault collapsing
 //! (Abramovici, Breuer and Friedman, *Digital Systems Testing and
@@ -56,6 +56,7 @@ use hwperm_factoradic::fan_out;
 use hwperm_faults::{FaultOverlay, FaultSpec};
 use hwperm_logic::{BatchSim, Gate, NetId, Netlist, SimProgram, SimWord, LANES};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How one fault manifested over the exhaustive index sweep.
@@ -220,6 +221,9 @@ struct FaultClass<W: SimWord> {
     overlay: FaultOverlay<W>,
     slot: usize,
     stuck: W,
+    /// The lowest start of a shard that has made this class's verdict
+    /// final (`usize::MAX` while none has).
+    finalized: AtomicUsize,
 }
 
 impl<W: SimWord> FaultClass<W> {
@@ -230,6 +234,7 @@ impl<W: SimWord> FaultClass<W> {
             overlay: FaultOverlay::new(Arc::clone(program), &[FaultSpec::StuckAt { net, value }]),
             slot: program.slot(net),
             stuck: W::splat(value),
+            finalized: AtomicUsize::new(usize::MAX),
         }
     }
 }
@@ -324,8 +329,11 @@ fn transpose64(rows: &mut [u64; 64]) {
 /// table on every live lane, a class whose net already holds its stuck
 /// value on every live lane leaves the wave as it is, so it cannot
 /// diverge and skips the batch. Where the wave misses the table, every
-/// open class runs: an unexcited fault still diverges there. Returns
-/// each class's witnesses within the range, in class order.
+/// open class runs: an unexcited fault still diverges there. A shard
+/// drops a class once an earlier shard has made its verdict final:
+/// that shard's witnesses come first in shard order, so later
+/// sightings never reach the report. Returns each class's witnesses
+/// within the range, in class order.
 fn campaign_shard<W: SimWord>(
     program: &Arc<SimProgram>,
     classes: &[FaultClass<W>],
@@ -341,6 +349,7 @@ fn campaign_shard<W: SimWord>(
     let mut found = vec![Witnesses::default(); classes.len()];
     // Classes whose verdict this range can still change.
     let mut open: Vec<usize> = (0..classes.len()).collect();
+    let start = batches.start;
     for batch in batches {
         if open.is_empty() {
             break;
@@ -356,12 +365,20 @@ fn campaign_shard<W: SimWord>(
             .all(|(&slot, &want)| !((settled[slot as usize] ^ want) & live).any());
         open.retain(|&c| {
             let class = &classes[c];
+            // Relaxed: a stale read only delays the drop; the witnesses
+            // travel back through the thread joins.
+            if class.finalized.load(Ordering::Relaxed) < start {
+                return false;
+            }
             if meets && !((settled[class.slot] ^ class.stuck) & live).any() {
                 return true;
             }
             class.overlay.eval_cone(&mut sim);
             let done = found[c].observe(sim.tape().1, out_slots, table, batch, valid);
             class.overlay.restore(&mut sim, &settled);
+            if done {
+                class.finalized.fetch_min(start, Ordering::Relaxed);
+            }
             !done
         });
     }
@@ -380,7 +397,7 @@ fn campaign_program(
         "stuck-at campaigns require a combinational netlist ({} DFFs present)",
         netlist.register_count()
     );
-    port_width_checked(netlist, input, output, expected.len());
+    port_width_checked(netlist, input, output, expected);
     SimProgram::compile_shared(netlist.clone())
 }
 
@@ -408,8 +425,9 @@ fn campaign_program(
 ///
 /// # Panics
 /// Panics if `workers == 0`, the netlist has registers, either port is
-/// missing, the input port cannot represent every index, or either
-/// port exceeds the 64-bit `u64` fast path.
+/// missing, the input port cannot represent every index, either port
+/// exceeds the 64-bit `u64` fast path, or a table word has bits above
+/// the output port.
 pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
     netlist: &Netlist,
     input: &str,
@@ -929,5 +947,19 @@ mod tests {
         let q = b.dff(x[0], false);
         b.output_bus("y", &[q]);
         let _ = stuck_at_campaign_wide::<u64>(&b.finish(), "x", "y", &[0, 0], None, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "table word 5 (0x85) has bits above output port \"y\" (3 bits)")]
+    fn wide_campaign_rejects_table_words_wider_than_the_port() {
+        let (nl, table) = crate::exhaustive::tests::passthrough_with_a_wide_word();
+        let _ = stuck_at_campaign_wide::<hwperm_logic::W512>(&nl, "x", "y", &table, None, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "table word 5 (0x85) has bits above output port \"y\" (3 bits)")]
+    fn scalar_campaign_rejects_table_words_wider_than_the_port() {
+        let (nl, table) = crate::exhaustive::tests::passthrough_with_a_wide_word();
+        let _ = stuck_at_campaign_scalar(&nl, "x", "y", &table, None);
     }
 }

@@ -53,11 +53,19 @@ impl fmt::Display for ExhaustiveMismatch {
 
 impl std::error::Error for ExhaustiveMismatch {}
 
+/// Checks the ports a table is swept, campaigned or proved over and the
+/// table itself, returning the input port's width.
+///
+/// # Panics
+/// Panics if either port is missing, a port exceeds the `u64` value
+/// domain, the input port cannot represent every index, or a table word
+/// has bits above the output port (naming the first such index; a
+/// 64-bit port takes every word).
 pub(crate) fn port_width_checked(
     netlist: &Netlist,
     input: &str,
     output: &str,
-    total: usize,
+    expected: &[u64],
 ) -> usize {
     let in_w = netlist
         .input_port(input)
@@ -73,10 +81,19 @@ pub(crate) fn port_width_checked(
         in_w < 64 && out_w <= 64,
         "ports {input:?} ({in_w} bits) / {output:?} ({out_w} bits) exceed the u64 sweep"
     );
+    let total = expected.len();
     assert!(
         in_w == 63 || (total as u64) <= 1u64 << in_w,
         "{total} indices do not fit input port {input:?} ({in_w} bits)"
     );
+    if out_w < 64 {
+        if let Some(index) = expected.iter().position(|&word| word >> out_w != 0) {
+            panic!(
+                "table word {index} ({:#x}) has bits above output port {output:?} ({out_w} bits)",
+                expected[index]
+            );
+        }
+    }
     in_w
 }
 
@@ -98,8 +115,8 @@ pub(crate) fn port_width_checked(
 /// axes.
 #[derive(Debug, Clone)]
 pub struct WideExpectation<W: SimWord> {
-    /// The original per-index table (witness extraction on mismatch).
-    per_index: Vec<u64>,
+    /// Number of indices covered.
+    len: usize,
     in_bits: usize,
     out_bits: usize,
     /// Batch-major `[batch][in_bit]` lane words of the index values.
@@ -116,8 +133,9 @@ impl<W: SimWord> WideExpectation<W> {
     /// output bits.
     ///
     /// # Panics
-    /// Panics if the widths exceed the `u64` sweep or the input port
-    /// cannot represent every index.
+    /// Panics if the widths exceed the `u64` sweep, the input port
+    /// cannot represent every index, or a word of `expected` has bits
+    /// above `out_bits`.
     pub fn new(in_bits: usize, out_bits: usize, expected: &[u64]) -> Self {
         assert!(
             in_bits < 64 && out_bits <= 64,
@@ -133,6 +151,10 @@ impl<W: SimWord> WideExpectation<W> {
         let mut want_words = vec![W::zero(); batches * out_bits];
         let mut live = vec![W::zero(); batches];
         for (index, &want) in expected.iter().enumerate() {
+            assert!(
+                out_bits == 64 || want >> out_bits == 0,
+                "table word {index} ({want:#x}) has bits above the {out_bits}-bit output"
+            );
             let (batch, lane) = (index / W::LANES, index % W::LANES);
             live[batch].set_lane(lane, true);
             for (b, word) in in_words[batch * in_bits..][..in_bits]
@@ -149,7 +171,7 @@ impl<W: SimWord> WideExpectation<W> {
             }
         }
         WideExpectation {
-            per_index: expected.to_vec(),
+            len: expected.len(),
             in_bits,
             out_bits,
             in_words,
@@ -160,12 +182,12 @@ impl<W: SimWord> WideExpectation<W> {
 
     /// Number of indices covered.
     pub fn len(&self) -> usize {
-        self.per_index.len()
+        self.len
     }
 
     /// `true` iff the table covers no indices.
     pub fn is_empty(&self) -> bool {
-        self.per_index.is_empty()
+        self.len == 0
     }
 
     /// Number of lanes per batch — [`SimWord::LANES`] of the word type.
@@ -243,20 +265,24 @@ pub(crate) fn check_batch_range<W: SimWord>(
         }
         if let Some(lane) = diff.first_lane() {
             // Cold path: pinpoint the lowest mismatching lane and
-            // re-extract its output word bit by bit.
-            let index = batch * W::LANES + lane;
-            let got = out_nets.iter().enumerate().fold(0u64, |acc, (b, net)| {
-                acc | ((sim.probe(*net).lane(lane) as u64) << b)
-            });
+            // re-extract its output and table words bit by bit (table
+            // words have no bits above the port, so `want` is exact).
             return Err(ExhaustiveMismatch {
-                index: index as u64,
+                index: (batch * W::LANES + lane) as u64,
                 port: output.to_string(),
-                got,
-                want: table.per_index[index],
+                got: lane_word(out_nets.iter().map(|&net| sim.probe(net)), lane),
+                want: lane_word(want.iter().copied(), lane),
             });
         }
     }
     Ok(())
+}
+
+/// One lane of little-endian bit words, packed into a word.
+fn lane_word<W: SimWord>(bits: impl Iterator<Item = W>, lane: usize) -> u64 {
+    bits.enumerate().fold(0u64, |acc, (b, word)| {
+        acc | (u64::from(word.lane(lane)) << b)
+    })
 }
 
 /// Scalar reference sweep: drives `input` with `0, 1, …,
@@ -267,14 +293,15 @@ pub(crate) fn check_batch_range<W: SimWord>(
 ///
 /// # Panics
 /// Panics if either port is missing, the input port cannot represent
-/// every index, or either port exceeds the 64-bit `u64` value domain.
+/// every index, either port exceeds the 64-bit `u64` value domain, or a
+/// table word has bits above the output port.
 pub fn exhaustive_check_scalar(
     netlist: &Netlist,
     input: &str,
     output: &str,
     expected: &[u64],
 ) -> Result<(), ExhaustiveMismatch> {
-    port_width_checked(netlist, input, output, expected.len());
+    port_width_checked(netlist, input, output, expected);
     let mut sim = BatchSim::<bool>::new(netlist.clone());
     for (index, &want) in expected.iter().enumerate() {
         sim.set_input_u64(input, index as u64);
@@ -362,7 +389,7 @@ pub(crate) fn scan_one_hot_range(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hwperm_logic::Builder;
 
@@ -393,6 +420,51 @@ mod tests {
         assert_eq!(wide.lanes(), 256);
         assert_eq!(narrow.in_bits(), wide.in_bits());
         assert_eq!(narrow.out_bits(), wide.out_bits());
+    }
+
+    /// A 3-bit passthrough `x` → `y` and its table with bit 7 set in
+    /// word 5, a bit the output port does not have.
+    pub(crate) fn passthrough_with_a_wide_word() -> (Netlist, Vec<u64>) {
+        let mut b = Builder::new();
+        let x = b.input_bus("x", 3);
+        b.output_bus("y", &x);
+        let mut table: Vec<u64> = (0..8).collect();
+        table[5] |= 1 << 7;
+        (b.finish(), table)
+    }
+
+    #[test]
+    #[should_panic(expected = "table word 5 (0x85) has bits above output port \"y\" (3 bits)")]
+    fn scalar_sweep_rejects_table_words_wider_than_the_port() {
+        let (nl, table) = passthrough_with_a_wide_word();
+        let _ = exhaustive_check_scalar(&nl, "x", "y", &table);
+    }
+
+    #[test]
+    #[should_panic(expected = "table word 5 (0x85) has bits above the 3-bit output")]
+    fn transpose_rejects_table_words_wider_than_the_output() {
+        let (_, table) = passthrough_with_a_wide_word();
+        let _ = WideExpectation::<u64>::new(3, 3, &table);
+    }
+
+    #[test]
+    fn a_64_bit_output_port_takes_every_table_word() {
+        // y = 64 copies of x: word 1 sets every bit, and no bit lies
+        // above the port.
+        let mut b = Builder::new();
+        let x = b.input_bus("x", 1);
+        b.output_bus("y", &[x[0]; 64]);
+        let nl = b.finish();
+        let table = [0, u64::MAX];
+        assert_eq!(exhaustive_check_scalar(&nl, "x", "y", &table), Ok(()));
+        assert_eq!(
+            crate::exhaustive_check_parallel_wide::<hwperm_logic::W512>(&nl, "x", "y", &table, 1),
+            Ok(())
+        );
+        assert_eq!(WideExpectation::<u64>::new(1, 64, &table).len(), 2);
+        assert!(crate::prove_against_table(&nl, "x", "y", &table)
+            .unwrap()
+            .is_proved());
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! n = 8–9 where the sweeps' oracle tables and the BDD sweep loop
 //! become the bottleneck.
 //!
+//! A table obligation is split into cubes (cube-and-conquer; Heule,
+//! Kullmann, Wieringa and Biere, HVC 2011): one small query per
+//! aligned block of 2⁸ indices, with the index's high bits constant, so
+//! each query carries only its block's table rows and the netlist's
+//! top stages constant-fold. UNSAT on every block is the proof.
+//!
 //! Every refutation is decoded back through the tape: the witness
 //! index is replayed on a `BatchSim<bool>` over the encoded program
 //! (settled, and for sequential checks clocked) and reported as the
@@ -28,7 +34,12 @@ use hwperm_sat::{
 };
 use std::sync::Arc;
 
-/// Size and search statistics of one SAT proof obligation.
+/// log₂ of the index block one table-conformance query covers.
+const TABLE_BLOCK_BITS: usize = 8;
+
+/// Size and search statistics of one SAT proof obligation: of its one
+/// query, or summed over the queries of a split obligation (the blocks
+/// of [`prove_against_table`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProofStats {
     /// CNF variables in the encoded obligation.
@@ -52,6 +63,15 @@ impl ProofStats {
             decisions: stats.decisions,
             propagations: stats.propagations,
         }
+    }
+
+    /// Adds another query's size and search counts to these.
+    fn add(&mut self, other: ProofStats) {
+        self.vars += other.vars;
+        self.clauses += other.clauses;
+        self.conflicts += other.conflicts;
+        self.decisions += other.decisions;
+        self.propagations += other.propagations;
     }
 }
 
@@ -244,17 +264,24 @@ pub fn prove_equivalent(a: &Netlist, b: &Netlist) -> Result<ProveOutcome, Verify
 /// `i < expected.len()` (out-of-range inputs are don't-cares — the
 /// paper's convention for the converter).
 ///
-/// The table is encoded as one clause per (index, output bit): "input
-/// differs from `i`, or the bit has its table polarity", defining a
-/// `want` vector the miter compares against; the range guard is a
-/// ripple comparator. UNSAT proves conformance. A model is decoded
-/// through the tape into exactly the sweeps' [`ExhaustiveMismatch`]
-/// (`got` by replaying the witness index, `want` from the table).
+/// The tape is compiled once and the index range split into aligned
+/// blocks of 2⁸ indices, proved in ascending order, each by its own
+/// CNF: the input port's low 8 bits are free and its high bits the
+/// block's constant, only the block's table rows are encoded (one
+/// clause per row and output bit: "low bits differ from the row, or the
+/// `want` bit has its table polarity"), a ripple comparator cuts a
+/// partial last block at the table's end, and the miter compares the
+/// output against `want`. An input port of at most 8 bits is one block.
+/// UNSAT on every block proves conformance; the first satisfiable block
+/// is decoded through the tape into exactly the sweeps'
+/// [`ExhaustiveMismatch`] (`got` by replaying the witness index, `want`
+/// from the table). The stats are summed over the blocks solved.
 ///
 /// # Panics
 /// Panics if either port is missing, the input port cannot represent
-/// every index, or a port exceeds the 64-bit witness path (the same
-/// contract as [`crate::exhaustive_check_parallel_wide`]).
+/// every index, a port exceeds the 64-bit witness path, or a table word
+/// has bits above the output port (the same contract as
+/// [`crate::exhaustive_check_parallel_wide`]).
 pub fn prove_against_table(
     netlist: &Netlist,
     input: &str,
@@ -264,21 +291,54 @@ pub fn prove_against_table(
     if netlist.register_count() > 0 {
         return Err(VerifyError::Sequential);
     }
-    crate::exhaustive::port_width_checked(netlist, input, output, expected.len());
+    let in_w = crate::exhaustive::port_width_checked(netlist, input, output, expected);
     let program = SimProgram::compile_shared(netlist.clone());
-    let mut cnf = Cnf::new();
-    let frame = encode_combinational(&program, &mut cnf);
-    let in_lits = frame.input(&program, input);
-    let out_lits = frame.output(&program, output);
-    // The table: a fresh `want` vector pinned, index by index, through
-    // clauses of width |input| + 1 ("x ≠ i, or want bit = table bit").
-    let want: Vec<Lit> = out_lits.iter().map(|_| cnf.new_var()).collect();
-    let mut clause: Vec<Lit> = Vec::with_capacity(in_lits.len() + 1);
-    for (i, &word) in expected.iter().enumerate() {
+    let low_bits = in_w.min(TABLE_BLOCK_BITS);
+    let mut proof = ProofStats::default();
+    for (block, rows) in expected.chunks(1 << low_bits).enumerate() {
+        let base = (block as u64) << low_bits;
+        let mut cnf = Cnf::new();
+        let low: Vec<Lit> = (0..low_bits).map(|_| cnf.new_var()).collect();
+        let mut in_lits = low.clone();
+        for b in low_bits..in_w {
+            in_lits.push(cnf.constant((base >> b) & 1 == 1));
+        }
+        let frame = encode_combinational_with(&program, &mut cnf, &[(input.to_string(), in_lits)]);
+        let out_lits = frame.output(&program, output);
+        let want = table_rows(&mut cnf, &low, out_lits.len(), rows);
+        let in_range = cnf.less_than_const(&low, rows.len() as u64);
+        cnf.assert_lit(in_range);
+        let root = miter_root(&mut cnf, &out_lits, &want);
+        cnf.assert_lit(root);
+        let (model, stats) = solve(&cnf);
+        proof.add(stats);
+        if let Some(model) = model {
+            let index = base + read_word(&model, &low);
+            return Ok(ProveOutcome::Refuted(
+                ExhaustiveMismatch {
+                    index,
+                    port: output.to_string(),
+                    got: replay(&program, input, index, output, 0),
+                    want: expected[index as usize],
+                },
+                proof,
+            ));
+        }
+    }
+    Ok(ProveOutcome::Proved(proof))
+}
+
+/// One block's table: a fresh `want` vector of `width` bits pinned,
+/// row by row, through clauses of width |low| + 1 ("low ≠ r, or want
+/// bit = bit of `rows[r]`").
+fn table_rows(cnf: &mut Cnf, low: &[Lit], width: usize, rows: &[u64]) -> Vec<Lit> {
+    let want: Vec<Lit> = (0..width).map(|_| cnf.new_var()).collect();
+    let mut clause: Vec<Lit> = Vec::with_capacity(low.len() + 1);
+    for (r, &word) in rows.iter().enumerate() {
         clause.clear();
-        for (j, &l) in in_lits.iter().enumerate() {
-            // True exactly when input bit j differs from index bit j.
-            clause.push(if (i >> j) & 1 == 1 { !l } else { l });
+        for (j, &l) in low.iter().enumerate() {
+            // True exactly when low bit j differs from row bit j.
+            clause.push(if (r >> j) & 1 == 1 { !l } else { l });
         }
         clause.push(Lit::positive(0)); // placeholder, patched per bit
         for (b, &w) in want.iter().enumerate() {
@@ -286,24 +346,7 @@ pub fn prove_against_table(
             cnf.add_clause(&clause);
         }
     }
-    let in_range = cnf.less_than_const(&in_lits, expected.len() as u64);
-    cnf.assert_lit(in_range);
-    let root = miter_root(&mut cnf, &out_lits, &want);
-    cnf.assert_lit(root);
-    let (model, proof) = solve(&cnf);
-    let Some(model) = model else {
-        return Ok(ProveOutcome::Proved(proof));
-    };
-    let index = read_word(&model, &in_lits);
-    Ok(ProveOutcome::Refuted(
-        ExhaustiveMismatch {
-            index,
-            port: output.to_string(),
-            got: replay(&program, input, index, output, 0),
-            want: expected[index as usize],
-        },
-        proof,
-    ))
+    want
 }
 
 /// Replays `program` from reset with only `input` driven, held at
@@ -559,6 +602,13 @@ mod tests {
         assert!(prove_against_table(&nl, "x", "y", &table[..5])
             .unwrap()
             .is_proved());
+    }
+
+    #[test]
+    #[should_panic(expected = "table word 5 (0x85) has bits above output port \"y\" (3 bits)")]
+    fn table_proof_rejects_table_words_wider_than_the_port() {
+        let (nl, table) = crate::exhaustive::tests::passthrough_with_a_wide_word();
+        let _ = prove_against_table(&nl, "x", "y", &table);
     }
 
     #[test]

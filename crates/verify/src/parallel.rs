@@ -61,8 +61,8 @@ use std::sync::Arc;
 ///
 /// # Panics
 /// Panics if `workers == 0`, either port is missing, the input port
-/// cannot represent every index, or either port exceeds the 64-bit
-/// `u64` value domain.
+/// cannot represent every index, either port exceeds the 64-bit `u64`
+/// value domain, or a table word has bits above the output port.
 pub fn exhaustive_check_parallel_wide<W: SimWord + Send + Sync>(
     netlist: &Netlist,
     input: &str,
@@ -70,7 +70,7 @@ pub fn exhaustive_check_parallel_wide<W: SimWord + Send + Sync>(
     expected: &[u64],
     workers: usize,
 ) -> Result<(), ExhaustiveMismatch> {
-    let in_w = port_width_checked(netlist, input, output, expected.len());
+    let in_w = port_width_checked(netlist, input, output, expected);
     let out_w = netlist.output_port(output).unwrap().nets.len();
     let table = WideExpectation::<W>::new(in_w, out_w, expected);
     let program = SimProgram::compile_fused_shared(netlist.clone());
@@ -171,6 +171,15 @@ mod tests {
         let table = WideExpectation::<u64>::new(3, 4, &[0; 8]);
         let program = SimProgram::compile_shared(passthrough(3));
         let _ = exhaustive_check_parallel_with(&program, "x", "y", &table, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "table word 5 (0x85) has bits above output port \"y\" (3 bits)")]
+    fn wide_sweep_rejects_table_words_wider_than_the_port() {
+        // The W512 sweep compares only the port's bits, so without the
+        // check it would pass a table the scalar sweep refutes.
+        let (nl, table) = crate::exhaustive::tests::passthrough_with_a_wide_word();
+        let _ = exhaustive_check_parallel_wide::<W512>(&nl, "x", "y", &table, 1);
     }
 
     #[test]

@@ -61,16 +61,20 @@ fn random_netlist(w: usize, specs: &[GateSpec]) -> Netlist {
     b.finish()
 }
 
-/// The output word at every input (at most 64, one per lane) through
-/// an empty-fault overlay around a 64-lane simulator.
+/// The output word at every input through an empty-fault overlay
+/// around a 64-lane simulator, 64 inputs (one per lane) per pass.
 fn fault_free_overlay_words(netlist: &Netlist, w: usize) -> Vec<u64> {
     let program = SimProgram::compile_shared(netlist.clone());
     let overlay = FaultOverlay::<u64>::new(Arc::clone(&program), &[]);
     let mut sim = BatchSim::from_program(program);
     let inputs: Vec<u64> = (0..1u64 << w).collect();
-    sim.set_input_lanes_u64("in", &inputs);
-    overlay.eval(&mut sim);
-    sim.read_output_lanes_u64("out")[..inputs.len()].to_vec()
+    let mut words = Vec::with_capacity(inputs.len());
+    for pass in inputs.chunks(64) {
+        sim.set_input_lanes_u64("in", pass);
+        overlay.eval(&mut sim);
+        words.extend_from_slice(&sim.read_output_lanes_u64("out")[..pass.len()]);
+    }
+    words
 }
 
 proptest! {
@@ -78,12 +82,13 @@ proptest! {
 
     #[test]
     fn random_netlists_prove_equal_to_their_own_simulation(
-        w in 2usize..=6,
+        w in 2usize..=10,
         specs in prop::collection::vec(gate_spec(), 1..40),
     ) {
         // The table is what the 64-lane tape computes over the full
         // input space; every other engine must reproduce it, and
-        // CNF-encode + solve must close it as a theorem.
+        // CNF-encode + solve must close it as a theorem. Past 8 input
+        // bits the proof spans several 256-index blocks.
         let netlist = random_netlist(w, &specs);
         let table = golden_output_words(&netlist, "in", "out");
         prop_assert_eq!(exhaustive_check_scalar(&netlist, "in", "out", &table), Ok(()));
@@ -101,13 +106,14 @@ proptest! {
 
     #[test]
     fn corrupted_tables_are_refuted_at_the_corrupted_index(
-        w in 2usize..=6,
+        w in 2usize..=10,
         specs in prop::collection::vec(gate_spec(), 1..40),
         corrupt in any::<u64>(),
     ) {
         // Flip one bit of one table entry: the only satisfying
-        // assignment of the miter is that index, and the decoded
-        // counterexample must replay against the simulator's word.
+        // assignment of the miter is that index, in whichever
+        // 256-index block holds it, and the decoded counterexample must
+        // replay against the simulator's word.
         let netlist = random_netlist(w, &specs);
         let mut table = golden_output_words(&netlist, "in", "out");
         let out_bits = netlist.output_port("out").unwrap().nets.len();

@@ -5,11 +5,15 @@
 //! simulator.
 
 use hwperm_bignum::Ubig;
-use hwperm_circuits::{converter_netlist, ConverterOptions, PermToIndexConverter};
-use hwperm_logic::{BatchSim, Gate};
+use hwperm_circuits::{
+    converter_netlist, ConverterOptions, IndexToCombinationConverter, IndexToVariationConverter,
+    PermToIndexConverter,
+};
+use hwperm_logic::{BatchSim, Gate, Netlist};
 use hwperm_verify::{
-    expected_permutation_words, prove_against_table, prove_equivalent, prove_inverse_identity,
-    prove_pipelined_equivalent, ProveOutcome,
+    expected_combination_words, expected_permutation_words, expected_variation_words,
+    prove_against_table, prove_equivalent, prove_inverse_identity, prove_pipelined_equivalent,
+    ExhaustiveMismatch, ProveOutcome,
 };
 
 fn factorial(n: usize) -> u64 {
@@ -143,4 +147,61 @@ fn counterexample_display_matches_the_exhaustive_sweep_format() {
         shown.contains("index 17") && shown.contains("expected"),
         "unexpected witness format: {shown}"
     );
+}
+
+/// Flips bit 0 of `table` at each of `indices` in turn: the table proof
+/// must refute at exactly that index, with `got` the netlist's word
+/// replayed there and `want` the corrupted row.
+fn assert_refuted_at_each_flip(netlist: &Netlist, output: &str, table: &[u64], indices: &[usize]) {
+    for &index in indices {
+        let mut bad = table.to_vec();
+        bad[index] ^= 1;
+        let mut sim = BatchSim::<bool>::new(netlist.clone());
+        sim.set_input_u64("index", index as u64);
+        sim.eval();
+        let replayed = sim.read_output_lane_u64(output, 0);
+        assert_eq!(
+            replayed, table[index],
+            "the netlist meets its table at {index}"
+        );
+        let out = prove_against_table(netlist, "index", output, &bad).unwrap();
+        let ProveOutcome::Refuted(cx, _) = out else {
+            panic!("flip at {index} not refuted: {out:?}");
+        };
+        let want = ExhaustiveMismatch {
+            index: index as u64,
+            port: output.to_string(),
+            got: replayed,
+            want: bad[index],
+        };
+        assert_eq!(cx, want, "flip at {index}");
+    }
+}
+
+#[test]
+fn converter_n6_flips_at_block_boundaries_are_refuted_in_place() {
+    // 720 rows: blocks 0–255 and 256–511, then the partial 512–719.
+    let netlist = converter_netlist(6, ConverterOptions::default());
+    let table = expected_permutation_words(6);
+    assert_eq!(table.len(), 720);
+    assert_refuted_at_each_flip(&netlist, "perm", &table, &[0, 255, 256, 511, 512, 719]);
+}
+
+#[test]
+fn variation_n7_flips_at_block_boundaries_are_refuted_in_place() {
+    // 7·6·5·4 = 840 rows: a full block 256–511 and the partial 768–839.
+    let conv = IndexToVariationConverter::new(7, 4);
+    let table = expected_variation_words(7, 4);
+    assert_eq!(table.len(), 840);
+    assert_refuted_at_each_flip(conv.netlist(), "out", &table, &[256, 511, 768, 839]);
+}
+
+#[test]
+fn combination_n7_flips_at_block_ends_are_refuted_in_place() {
+    // C(7, 4) = 35 rows behind a 6-bit index: one block, the
+    // single-query path.
+    let conv = IndexToCombinationConverter::new(7, 4);
+    let table = expected_combination_words(7, 4);
+    assert_eq!(table.len(), 35);
+    assert_refuted_at_each_flip(conv.netlist(), "codeword", &table, &[0, 34]);
 }
